@@ -1,146 +1,35 @@
-//! Per-device execution: walks one instruction list, advancing a virtual
-//! clock and a memory ledger, communicating through virtual-time links —
-//! and, when a [`crate::faults::FaultPlan`] is active, enforcing the
-//! injected faults and converting every induced failure into a structured
-//! [`FaultReport`].
+//! The emulator's per-instruction interpreter, written once for both
+//! backends.
+//!
+//! `Device` walks one instruction list on top of a
+//! [`mario_ir::DeviceCore`] (which owns the clock, time classes,
+//! checkpoint chunk drain and recorders every executor shares) and adds
+//! what only the emulators have: seeded jitter and straggler factors,
+//! the fault hooks of a [`crate::FaultPlan`] (crashes, slowdowns, link
+//! delays and stalls, memory squeezes) and the conversion of every
+//! induced failure into a structured [`FaultReport`].
+//!
+//! It is a resumable state machine: `Device::step` runs until the next
+//! send or recv and hands that request (`LinkOp`) to its driver. The
+//! thread backend fulfils it with blocking [`crate::link`] halves, the
+//! event backend with its queues and parking; either reports back
+//! through `Device::sent`, `Device::received` or
+//! `Device::link_failed`.
 
 use crate::error::EmuError;
 use crate::faults::{DeviceFaults, FaultKind, FaultReport};
-use crate::link::{Header, LinkError, RecvHalf, SendHalf};
+use crate::link::{Header, LinkError};
+use crate::runner::EmulatorConfig;
+use crate::serving::ServingHooks;
 use mario_ir::exec::MsgClass;
 use mario_ir::{
-    AllocKey, CheckpointPolicy, CostModel, DeviceId, DeviceProgram, DeviceTelemetry, Instr,
-    InstrKind, LinkSendStats, MemLedger, MemoryRules, Nanos, OpSpan, CKPT_PC,
+    CkptBoard, CostModel, DeviceCore, DeviceId, DeviceProgram, DeviceReport, Instr, InstrKind,
+    MemLedger, MemoryRules, Nanos, OomError, PartId, Schedule, Work,
 };
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
-/// One executed instruction with its virtual start/end times.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TimelineEvent {
-    /// The executing device.
-    pub device: DeviceId,
-    /// Rendered instruction.
-    pub instr: String,
-    /// Virtual start time (ns).
-    pub start: Nanos,
-    /// Virtual end time (ns).
-    pub end: Nanos,
-}
-
-/// What a device reports after finishing.
-#[derive(Debug, Clone)]
-pub struct DeviceReport {
-    /// Final virtual clock.
-    pub clock: Nanos,
-    /// Peak memory footprint (bytes).
-    pub peak_mem: u64,
-    /// Live dynamic allocations remaining (should be 0 after a clean
-    /// iteration).
-    pub leaked: usize,
-    /// Recorded events, if timeline recording was enabled.
-    pub timeline: Vec<TimelineEvent>,
-    /// Faults this device absorbed without failing (slowdowns, delays).
-    pub absorbed: Vec<FaultReport>,
-    /// Iterations covered by this device's last completed checkpoint
-    /// write (0 when no policy was active or nothing was saved).
-    pub last_checkpoint: u32,
-    /// Time-class breakdown of this device's clock plus counters.
-    pub telemetry: DeviceTelemetry,
-    /// Send-side link statistics, keyed by receiving peer.
-    pub link_sends: HashMap<DeviceId, LinkSendStats>,
-    /// Total recv-wait time per sending peer, ns.
-    pub link_recv_wait: HashMap<DeviceId, Nanos>,
-    /// Executed spans (execution order), if span recording was enabled.
-    pub spans: Vec<OpSpan>,
-}
-
-/// Shared scoreboard of completed checkpoint writes: each device records
-/// the number of iterations its latest checkpoint covers, and the
-/// cluster-durable checkpoint is the minimum across devices — a model
-/// checkpoint only exists once *every* shard of it was written, exactly
-/// like a real distributed snapshot.
-///
-/// The board also learns *chunk-level* progress: sharded writes record
-/// each flushed chunk, so a crash mid-flush leaves the in-flight
-/// checkpoint invisible to [`CkptBoard::cluster_saved`] (a checkpoint is
-/// durable only once every chunk of it flushed), and it tracks the
-/// virtual time each device actually *paid* on the critical path
-/// writing checkpoints — the measured overhead the run report exposes.
-#[derive(Debug, Default)]
-pub struct CkptBoard {
-    saved: Vec<AtomicU32>,
-    chunks: Vec<AtomicU32>,
-    paid: Vec<AtomicU64>,
-}
-
-impl CkptBoard {
-    /// A board for `devices` devices, nothing saved yet.
-    pub fn new(devices: usize) -> Self {
-        Self {
-            saved: (0..devices).map(|_| AtomicU32::new(0)).collect(),
-            chunks: (0..devices).map(|_| AtomicU32::new(0)).collect(),
-            paid: (0..devices).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Records that `device` completed a checkpoint covering the first
-    /// `saved` iterations.
-    pub fn record(&self, device: DeviceId, saved: u32) {
-        if let Some(slot) = self.saved.get(device.index()) {
-            slot.fetch_max(saved, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one flushed checkpoint chunk on `device`.
-    pub fn record_chunk(&self, device: DeviceId) {
-        if let Some(slot) = self.chunks.get(device.index()) {
-            slot.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Total checkpoint chunks `device` has flushed so far.
-    pub fn chunks_flushed(&self, device: DeviceId) -> u32 {
-        self.chunks
-            .get(device.index())
-            .map_or(0, |s| s.load(Ordering::Relaxed))
-    }
-
-    /// Charges `ns` of checkpoint write time actually paid by `device`
-    /// (synchronous writes and residue flushes; chunks hidden in bubbles
-    /// cost nothing).
-    pub fn record_paid(&self, device: DeviceId, ns: Nanos) {
-        if let Some(slot) = self.paid.get(device.index()) {
-            slot.fetch_add(ns, Ordering::Relaxed);
-        }
-    }
-
-    /// Checkpoint write time `device` paid on its critical path, ns.
-    pub fn paid_of(&self, device: DeviceId) -> Nanos {
-        self.paid
-            .get(device.index())
-            .map_or(0, |s| s.load(Ordering::Relaxed))
-    }
-
-    /// Checkpoint write time paid across all devices, ns.
-    pub fn total_paid(&self) -> Nanos {
-        self.paid.iter().map(|s| s.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Iterations covered by the last checkpoint *every* device
-    /// completed (the only checkpoint a resume can trust).
-    pub fn cluster_saved(&self) -> u32 {
-        self.saved
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .min()
-            .unwrap_or(0)
-    }
-}
+use std::collections::{HashMap, HashSet};
 
 /// What a blocked device is waiting on right now.
 #[derive(Debug, Clone, Copy)]
@@ -204,716 +93,451 @@ impl StallTable {
     }
 }
 
-/// Everything a device runtime needs besides its channel ends (grouping
-/// the former 10-argument constructor).
-pub struct DeviceCtx<'a> {
-    /// The device this runtime executes.
-    pub device: DeviceId,
-    /// Per-instruction latencies and sizes.
-    pub cost: &'a dyn CostModel,
-    /// Shared activation-lifecycle rules.
-    pub rules: &'a MemoryRules,
-    /// Device memory capacity (None = unchecked).
-    pub mem_capacity: Option<u64>,
-    /// Relative kernel-time jitter.
-    pub jitter: f64,
-    /// Straggler spread (see [`crate::EmulatorConfig`]).
-    pub straggler_spread: f64,
-    /// RNG seed.
-    pub seed: u64,
-    /// Record a full per-instruction timeline.
-    pub record_timeline: bool,
-    /// Record the executed span graph (see [`mario_ir::SpanGraph`]).
-    pub record_spans: bool,
-    /// Faults this device must enforce.
-    pub faults: DeviceFaults,
-    /// Shared blocked-device table for wait-chain reporting.
-    pub stalls: &'a StallTable,
-    /// Model-state checkpointing policy, if any.
-    pub checkpoint: Option<CheckpointPolicy>,
-    /// Shared checkpoint scoreboard.
-    pub ckpts: &'a CkptBoard,
-    /// One-time startup charge (ns) before the first instruction: the
-    /// state-redistribution cost of an elastic reconfiguration. The clock
-    /// starts here and the charge lands in the `reconfig_ns` time class.
-    pub startup_ns: Nanos,
-    /// Serving-mode hooks: per-micro ingress release gates and the
-    /// completion scoreboard (None on training runs).
-    pub serving: Option<crate::serving::ServingHooks<'a>>,
+/// A directed link: (sender, receiver, class, part).
+pub(crate) type LinkKey = (DeviceId, DeviceId, MsgClass, PartId);
+
+/// Every directed link the schedule's sends use, once each, in program
+/// order — the links a driver must build before the run.
+pub(crate) fn links_of(schedule: &Schedule) -> Vec<LinkKey> {
+    let mut seen = HashSet::new();
+    let mut keys = Vec::new();
+    for prog in schedule.programs() {
+        for (_, i) in prog.iter() {
+            let key = match i.kind {
+                InstrKind::SendAct { peer } => (prog.device, peer, MsgClass::Act, i.part),
+                InstrKind::SendGrad { peer } => (prog.device, peer, MsgClass::Grad, i.part),
+                _ => continue,
+            };
+            if seen.insert(key) {
+                keys.push(key);
+            }
+        }
+    }
+    keys
 }
 
-/// The per-device runtime state.
-pub struct DeviceRuntime<'a> {
-    device: DeviceId,
-    cost: &'a dyn CostModel,
-    rules: &'a MemoryRules,
-    ledger: MemLedger,
-    clock: Nanos,
-    out: HashMap<(DeviceId, MsgClass, mario_ir::PartId), SendHalf>,
-    inp: HashMap<(DeviceId, MsgClass, mario_ir::PartId), RecvHalf>,
+/// A send or recv a device hands to its driver.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum LinkOp {
+    /// Send `bytes` under `header` to `peer`; the packet departs `delay`
+    /// ns after the send completes (an injected link delay).
+    Send {
+        peer: DeviceId,
+        header: Header,
+        bytes: u64,
+        delay: Nanos,
+    },
+    /// Receive the packet `expect` from `peer`.
+    Recv { peer: DeviceId, expect: Header },
+}
+
+impl LinkOp {
+    /// The peer the operation pairs with.
+    pub(crate) fn peer(&self) -> DeviceId {
+        match *self {
+            LinkOp::Send { peer, .. } | LinkOp::Recv { peer, .. } => peer,
+        }
+    }
+
+    /// The link's `(class, part)` key on this device's side.
+    pub(crate) fn class_part(&self) -> (MsgClass, PartId) {
+        match *self {
+            LinkOp::Send { header, .. } | LinkOp::Recv { expect: header, .. } => {
+                (header.class, header.part)
+            }
+        }
+    }
+}
+
+/// Where [`Device::step`] stopped.
+pub(crate) enum Step {
+    /// The driver must fulfil this send or recv.
+    Link(LinkOp),
+    /// Every iteration ran to completion.
+    Finished,
+    /// A structured failure.
+    Failed(EmuError),
+}
+
+/// A device's outcome: its report plus the faults it absorbed, or the
+/// error that stopped it.
+pub(crate) type Settled = Result<(DeviceReport, Vec<FaultReport>), EmuError>;
+
+/// Run-wide context every device of one run shares.
+#[derive(Clone, Copy)]
+pub(crate) struct Shared<'a> {
+    pub schedule: &'a Schedule,
+    pub cost: &'a dyn CostModel,
+    pub cfg: &'a EmulatorConfig,
+    pub rules: &'a MemoryRules,
+    pub stalls: &'a StallTable,
+    pub ckpts: &'a CkptBoard,
+    /// Serving-mode release gates and completion scoreboard.
+    pub serving: Option<ServingHooks<'a>>,
+}
+
+/// One emulated device: a [`DeviceCore`] plus jitter, fault hooks and a
+/// program counter, so execution can suspend at a link and resume.
+pub(crate) struct Device<'a> {
+    core: DeviceCore<'a>,
+    program: &'a DeviceProgram,
+    env: Shared<'a>,
     rng: StdRng,
-    jitter: f64,
     straggler: f64,
-    record: bool,
-    timeline: Vec<TimelineEvent>,
-    record_spans: bool,
-    spans: Vec<OpSpan>,
     faults: DeviceFaults,
-    stalls: &'a StallTable,
+    /// Packets sent per peer this iteration (link faults target the
+    /// `nth`, matching `send_sites` and the profile's `LinkSlack::nth`).
     sends_to: HashMap<DeviceId, usize>,
     absorbed: Vec<FaultReport>,
     iteration: u32,
-    checkpoint: Option<CheckpointPolicy>,
-    ckpts: &'a CkptBoard,
-    last_checkpoint: u32,
-    /// Chunk flush times of the in-flight async checkpoint write, drained
-    /// front-first into recv bubbles.
-    pending_chunks: VecDeque<Nanos>,
-    /// Iterations the in-flight write covers once every chunk flushed.
-    pending_ckpt_iters: u32,
-    /// Time-class accounting: every clock advance is classified here.
-    telemetry: DeviceTelemetry,
-    /// Send-side per-peer link statistics.
-    link_sends: HashMap<DeviceId, LinkSendStats>,
-    /// Recv-wait time per sending peer.
-    link_recv_wait: HashMap<DeviceId, Nanos>,
-    /// Serving-mode release gates and completion scoreboard.
-    serving: Option<crate::serving::ServingHooks<'a>>,
+    pc: usize,
+    pending: Option<LinkOp>,
 }
 
-impl<'a> DeviceRuntime<'a> {
-    /// Creates a runtime for `ctx.device`.
-    pub fn new(
-        ctx: DeviceCtx<'a>,
-        out: HashMap<(DeviceId, MsgClass, mario_ir::PartId), SendHalf>,
-        inp: HashMap<(DeviceId, MsgClass, mario_ir::PartId), RecvHalf>,
+impl<'a> Device<'a> {
+    /// Device `device` of `env`'s schedule, enforcing `faults`, its clock
+    /// starting at `startup_ns` (an elastic reconfiguration charge).
+    pub(crate) fn new(
+        env: Shared<'a>,
+        device: DeviceId,
+        faults: DeviceFaults,
+        startup_ns: Nanos,
     ) -> Self {
+        let cfg = env.cfg;
         // A fixed per-device slowdown in [1, 1+spread], derived from the
         // seed so runs stay deterministic.
-        let device = ctx.device;
-        let mix = ctx
+        let mix = cfg
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add((device.0 as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03));
         let unit = (mix >> 11) as f64 / (1u64 << 53) as f64;
-        let straggler = 1.0 + ctx.straggler_spread * unit;
         // An injected memory squeeze clamps the capacity for the whole
         // run (it models lost headroom, not a transient glitch).
-        let capacity = match ctx.faults.squeezed_capacity() {
-            Some(squeezed) => Some(ctx.mem_capacity.unwrap_or(u64::MAX).min(squeezed)),
-            None => ctx.mem_capacity,
+        let capacity = match faults.squeezed_capacity() {
+            Some(squeezed) => Some(cfg.mem_capacity.unwrap_or(u64::MAX).min(squeezed)),
+            None => cfg.mem_capacity,
         };
-        let mut telemetry = DeviceTelemetry::new(device);
-        telemetry.classes.reconfig_ns = ctx.startup_ns;
+        let ledger = MemLedger::new(env.cost.static_mem(device), capacity);
         Self {
-            device,
-            cost: ctx.cost,
-            rules: ctx.rules,
-            ledger: MemLedger::new(ctx.cost.static_mem(device), capacity),
-            clock: ctx.startup_ns,
-            out,
-            inp,
+            core: DeviceCore::new(device, ledger, startup_ns, env.ckpts)
+                .with_checkpoint(cfg.checkpoint, env.cost)
+                .recording(cfg.record_timeline, cfg.record_spans),
+            program: env.schedule.program(device),
+            env,
             rng: StdRng::seed_from_u64(
-                ctx.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(device.0 as u64 + 1)),
+                cfg.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(device.0 as u64 + 1)),
             ),
-            jitter: ctx.jitter,
-            straggler,
-            record: ctx.record_timeline,
-            timeline: Vec::new(),
-            record_spans: ctx.record_spans,
-            spans: Vec::new(),
-            faults: ctx.faults,
-            stalls: ctx.stalls,
+            straggler: 1.0 + cfg.straggler_spread * unit,
+            faults,
             sends_to: HashMap::new(),
             absorbed: Vec::new(),
             iteration: 0,
-            checkpoint: ctx.checkpoint,
-            ckpts: ctx.ckpts,
-            last_checkpoint: 0,
-            pending_chunks: VecDeque::new(),
-            pending_ckpt_iters: 0,
-            telemetry,
-            link_sends: HashMap::new(),
-            link_recv_wait: HashMap::new(),
-            serving: ctx.serving,
+            pc: 0,
+            pending: None,
         }
     }
 
+    pub(crate) fn id(&self) -> DeviceId {
+        self.core.device()
+    }
+
+    pub(crate) fn clock(&self) -> Nanos {
+        self.core.clock()
+    }
+
+    pub(crate) fn pc(&self) -> usize {
+        self.pc
+    }
+
+    /// The link operation the device is parked on, if any.
+    pub(crate) fn pending(&self) -> Option<LinkOp> {
+        self.pending
+    }
+
+    /// Runs until the next link operation, the end of the run, or a
+    /// failure. At each program end the checkpoint boundary fires; after
+    /// the last iteration any async-checkpoint residue is paid.
+    pub(crate) fn step(&mut self) -> Step {
+        let iterations = self.env.cfg.iterations;
+        loop {
+            if self.iteration >= iterations {
+                self.core.drain_end(iterations.saturating_sub(1));
+                return Step::Finished;
+            }
+            let Some(&instr) = self.program.instrs().get(self.pc) else {
+                if let Err(cause) = self.core.boundary(self.iteration) {
+                    return Step::Failed(self.oom(cause));
+                }
+                self.iteration += 1;
+                self.pc = 0;
+                self.sends_to.clear();
+                continue;
+            };
+            match self.fire(instr) {
+                Ok(None) => {}
+                Ok(Some(op)) => {
+                    self.pending = Some(op);
+                    return Step::Link(op);
+                }
+                Err(e) => return Step::Failed(e),
+            }
+        }
+    }
+
+    /// Fires the instruction at `pc`, or issues its link operation.
+    fn fire(&mut self, instr: Instr) -> Result<Option<LinkOp>, EmuError> {
+        let me = self.id();
+        let cost = self.env.cost;
+        let faults_active = !self.faults.is_empty() && self.iteration == self.faults.iteration;
+        let crash = self.faults.crash.filter(|_| faults_active);
+        if let Some(fault @ FaultKind::Crash { pc, .. }) = crash {
+            if pc == self.pc {
+                let report = self.report(fault, "device crashed");
+                return Err(EmuError::Fault(Box::new(report)));
+            }
+        }
+        self.core.begin();
+        let class = match instr.kind {
+            InstrKind::SendAct { .. } | InstrKind::RecvAct { .. } => MsgClass::Act,
+            _ => MsgClass::Grad,
+        };
+        let header = Header {
+            class,
+            micro: instr.micro,
+            part: instr.part,
+        };
+        match instr.kind {
+            InstrKind::Forward { .. }
+            | InstrKind::Backward
+            | InstrKind::BackwardInput
+            | InstrKind::BackwardWeight
+            | InstrKind::Recompute => {
+                let forward = matches!(instr.kind, InstrKind::Forward { .. });
+                let serving = self.env.serving.filter(|_| forward);
+                // Serving ingress gate: a first-stage forward may not
+                // start before its micro-batch was released.
+                if let Some(sv) = serving.filter(|sv| sv.topo.is_first_stage(me, instr.part)) {
+                    self.core.gate(sv.release_of(instr.micro));
+                }
+                let mut dur = self.jittered(cost.duration(me, &instr));
+                let factor = self.faults.slow_factor(self.iteration, self.pc);
+                if faults_active && factor != 1.0 {
+                    dur = (dur as f64 * factor).round() as Nanos;
+                    let pc = self.pc;
+                    let slowdown = self.faults.slowdowns.iter().copied().find(|s| {
+                        matches!(*s, FaultKind::Slowdown { from_pc, until_pc, .. } if (from_pc..until_pc).contains(&pc))
+                    });
+                    // One report per fault, not one per slowed instruction.
+                    if let Some(fault) =
+                        slowdown.filter(|f| !self.absorbed.iter().any(|r| r.fault == *f))
+                    {
+                        self.absorb(fault, "compute slowed");
+                    }
+                }
+                self.core.busy(Work::Compute, dur);
+                self.apply_mem(&instr)?;
+                // Serving egress: a last-stage forward completes its
+                // micro-batch (observational write — never read here).
+                if let Some(sv) = serving.filter(|sv| sv.topo.is_last_stage(me, instr.part)) {
+                    sv.board.record(instr.micro, self.core.clock());
+                }
+            }
+            InstrKind::SendAct { peer } | InstrKind::SendGrad { peer } => {
+                self.core.busy(Work::Launch, cost.p2p_launch_overhead());
+                let nth = self.sends_to.entry(peer).or_insert(0);
+                let fault = faults_active
+                    .then(|| self.faults.send_fault(self.iteration, peer, *nth))
+                    .flatten();
+                *nth += 1;
+                let delay = match fault {
+                    // Drop the packet: the receiver's pairing recv can
+                    // never complete and reports the stall. The send side
+                    // absorbs it (buffers freed as usual).
+                    Some(stall @ FaultKind::LinkStall { .. }) => {
+                        self.absorb(stall, "packet dropped");
+                        self.apply_mem(&instr)?;
+                        self.complete(&instr);
+                        return Ok(None);
+                    }
+                    Some(f @ FaultKind::LinkDelay { extra_ns, .. }) => {
+                        self.absorb(f, "packet delayed");
+                        extra_ns
+                    }
+                    _ => 0,
+                };
+                let bytes = cost.boundary_bytes(me, instr.part);
+                return Ok(Some(LinkOp::Send {
+                    peer,
+                    header,
+                    bytes,
+                    delay,
+                }));
+            }
+            InstrKind::RecvAct { peer } | InstrKind::RecvGrad { peer } => {
+                self.core.busy(Work::Launch, cost.p2p_launch_overhead());
+                return Ok(Some(LinkOp::Recv {
+                    peer,
+                    expect: header,
+                }));
+            }
+            InstrKind::AllReduce => self.core.busy(Work::AllReduce, cost.allreduce_time(me)),
+            InstrKind::OptimizerStep => self.core.busy(Work::Optimizer, cost.optimizer_time(me)),
+        }
+        self.complete(&instr);
+        Ok(None)
+    }
+
+    /// The pending send completed: its capacity wait ended at `freed`,
+    /// leaving `occupancy` packets un-acked on the channel.
+    pub(crate) fn sent(&mut self, freed: Nanos, occupancy: u32) -> Result<(), EmuError> {
+        let Some(LinkOp::Send { peer, bytes, .. }) = self.pending.take() else {
+            unreachable!("no send pending");
+        };
+        self.core.sent(peer, freed, bytes, occupancy);
+        let instr = self.program.instrs()[self.pc];
+        self.apply_mem(&instr)?;
+        self.complete(&instr);
+        Ok(())
+    }
+
+    /// The pending recv got a packet that departed at `sent_at` and spent
+    /// `wire_ns` on the wire. Returns the arrival (the receiver's ack).
+    pub(crate) fn received(&mut self, sent_at: Nanos, wire_ns: Nanos) -> Nanos {
+        let Some(LinkOp::Recv { peer, .. }) = self.pending.take() else {
+            unreachable!("no recv pending");
+        };
+        let arrival = self.core.received(peer, sent_at, wire_ns);
+        let instr = self.program.instrs()[self.pc];
+        self.complete(&instr);
+        arrival
+    }
+
+    /// Wire time of a `bytes` packet from `peer` to this device.
+    pub(crate) fn wire_ns(&self, peer: DeviceId, bytes: u64) -> Nanos {
+        self.env.cost.p2p_time_between(peer, self.id(), bytes)
+    }
+
+    /// The pending operation failed at the link level. An injected stall
+    /// on the incoming link takes precedence over the mechanical failure
+    /// shape, so seeded runs reproduce identical reports on both backends.
+    pub(crate) fn link_failed(&mut self, e: LinkError) -> EmuError {
+        if let Some(err) = self.injected_stall() {
+            return err;
+        }
+        let (device, pc) = (self.id(), self.pc);
+        match e {
+            LinkError::Timeout => self.deadlocked(self.env.stalls.wait_chain(device)),
+            LinkError::Disconnected => EmuError::PeerFailed { device, pc },
+            LinkError::Mismatch(h) => EmuError::CommMismatch {
+                device,
+                pc,
+                detail: format!("expected {}, got {h:?}", self.current()),
+            },
+        }
+    }
+
+    /// The structured report of an injected stall on the link the device
+    /// is parked on, if there is one.
+    pub(crate) fn injected_stall(&self) -> Option<EmuError> {
+        let peer = self.pending?.peer();
+        let fault = self.faults.recv_stall_from(peer)?;
+        let mut report = self.report(fault, "incoming link stalled");
+        report.blocked_peer = Some(peer);
+        Some(EmuError::Fault(Box::new(report)))
+    }
+
+    /// A deadlock observed while parked, naming the wait chain `cycle`.
+    pub(crate) fn deadlocked(&self, cycle: Vec<DeviceId>) -> EmuError {
+        EmuError::DeadlockSuspected {
+            device: self.id(),
+            pc: self.pc,
+            instr: self.current(),
+            cycle,
+        }
+    }
+
+    /// The pending operation names a peer no link was built for.
+    pub(crate) fn no_route(&self, peer: DeviceId) -> EmuError {
+        EmuError::NoRoute {
+            device: self.id(),
+            pc: self.pc,
+            peer,
+        }
+    }
+
+    /// Finishes the run: the core's report plus the absorbed faults.
+    pub(crate) fn finish(self) -> (DeviceReport, Vec<FaultReport>) {
+        let mut report = self.core.finish();
+        report.telemetry.absorbed_faults = self.absorbed.len() as u32;
+        (report, self.absorbed)
+    }
+
+    fn complete(&mut self, instr: &Instr) {
+        self.core.end(instr, self.iteration, self.pc);
+        self.pc += 1;
+    }
+
     fn jittered(&mut self, ns: Nanos) -> Nanos {
-        if self.jitter == 0.0 && self.straggler == 1.0 {
+        let jitter = self.env.cfg.jitter;
+        if jitter == 0.0 && self.straggler == 1.0 {
             return ns;
         }
-        let f = if self.jitter == 0.0 {
+        let f = if jitter == 0.0 {
             1.0
         } else {
-            1.0 + self.rng.gen_range(-2.0 * self.jitter..=2.0 * self.jitter)
+            1.0 + self.rng.gen_range(-2.0 * jitter..=2.0 * jitter)
         };
         (ns as f64 * f * self.straggler).round() as Nanos
     }
 
-    fn report(&self, fault: FaultKind, pc: usize, instr: Option<&Instr>, detail: &str) -> FaultReport {
+    /// The instruction at `pc`, rendered; `CKPT` at the iteration
+    /// boundary past the program's end.
+    fn current(&self) -> String {
+        self.program
+            .get(self.pc)
+            .map_or_else(|| "CKPT".to_string(), |i| i.to_string())
+    }
+
+    fn report(&self, fault: FaultKind, detail: &str) -> FaultReport {
         FaultReport {
             fault,
-            device: self.device,
-            pc,
-            instr: instr.map(|i| i.to_string()).unwrap_or_default(),
+            device: self.id(),
+            pc: self.pc,
+            instr: self.current(),
             blocked_peer: None,
-            vtime: self.clock,
+            vtime: self.core.clock(),
             iteration: self.iteration,
-            last_checkpoint: self.last_checkpoint,
+            last_checkpoint: self.core.last_checkpoint(),
             ckpt_paid_ns: 0,
             group: None,
             detail: detail.to_string(),
         }
     }
 
-    fn link_err(&self, e: LinkError, pc: usize, instr: &Instr, peer: DeviceId) -> EmuError {
-        // Any failure to receive over a link with an injected stall is
-        // the stall surfacing — normalize it to the same structured
-        // report whether it manifested as a timeout, a disconnect, or a
-        // mismatched header, so seeded runs reproduce identical reports.
-        if let Some(fault) = self.faults.recv_stall_from(peer) {
-            let mut report = self.report(fault, pc, Some(instr), "incoming link stalled");
-            report.blocked_peer = Some(peer);
-            return EmuError::Fault(Box::new(report));
-        }
-        match e {
-            LinkError::Timeout => EmuError::DeadlockSuspected {
-                device: self.device,
-                pc,
-                instr: instr.to_string(),
-                cycle: self.stalls.wait_chain(self.device),
-            },
-            LinkError::Disconnected => EmuError::PeerFailed {
-                device: self.device,
-                pc,
-            },
-            LinkError::Mismatch(h) => EmuError::CommMismatch {
-                device: self.device,
-                pc,
-                detail: format!("expected {instr}, got {h:?}"),
+    fn absorb(&mut self, fault: FaultKind, detail: &str) {
+        let report = self.report(fault, detail);
+        self.absorbed.push(report);
+    }
+
+    fn apply_mem(&mut self, instr: &Instr) -> Result<(), EmuError> {
+        let applied = self.core.apply(self.env.rules, self.env.cost, instr);
+        applied.map_err(|cause| self.oom(cause))
+    }
+
+    /// An allocation failure at `pc`: under an injected capacity squeeze
+    /// it is the squeeze surfacing, reported as the structured fault.
+    fn oom(&self, cause: OomError) -> EmuError {
+        match self.faults.squeeze {
+            Some(fault) => EmuError::Fault(Box::new(
+                self.report(fault, &format!("memory squeezed: {cause}")),
+            )),
+            None => EmuError::Oom {
+                device: self.id(),
+                pc: self.pc,
+                instr: self.current(),
+                cause,
             },
         }
-    }
-
-    fn apply_mem(&mut self, pc: usize, instr: &Instr) -> Result<(), EmuError> {
-        let squeeze = self.faults.squeeze;
-        let device = self.device;
-        let last_checkpoint = self.last_checkpoint;
-        self.rules
-            .apply(&mut self.ledger, self.cost, device, instr)
-            .map_err(|cause| match squeeze {
-                // OOM under an injected capacity squeeze is the squeeze
-                // surfacing: report it as the structured fault.
-                Some(fault) => EmuError::Fault(Box::new(FaultReport {
-                    fault,
-                    device,
-                    pc,
-                    instr: instr.to_string(),
-                    blocked_peer: None,
-                    vtime: self.clock,
-                    iteration: self.iteration,
-                    last_checkpoint,
-                    ckpt_paid_ns: 0,
-                    group: None,
-                    detail: format!("memory squeezed: {cause}"),
-                })),
-                None => EmuError::Oom {
-                    device,
-                    pc,
-                    instr: instr.to_string(),
-                    cause,
-                },
-            })
-    }
-
-    /// Executes one full pass over `program` as iteration `iter_idx`,
-    /// then writes a model-state checkpoint when the active policy puts a
-    /// boundary at this iteration.
-    pub fn run_iteration(&mut self, program: &DeviceProgram, iter_idx: u32) -> Result<(), EmuError> {
-        self.iteration = iter_idx;
-        // Packet numbering is per-iteration (matching `send_sites` and the
-        // profile's `LinkSlack::nth`), so link faults can target packets
-        // of any iteration, not just the first.
-        self.sends_to.clear();
-        let faults_active = !self.faults.is_empty() && iter_idx == self.faults.iteration;
-        for (pc, instr) in program.iter() {
-            if faults_active {
-                if let Some(fault @ FaultKind::Crash { pc: at, .. }) = self.faults.crash {
-                    if at == pc {
-                        return Err(EmuError::Fault(Box::new(self.report(
-                            fault,
-                            pc,
-                            Some(instr),
-                            "device crashed",
-                        ))));
-                    }
-                }
-            }
-            let start = self.clock;
-            let (mut sp_sent, mut sp_wire, mut sp_gate) = (0, 0, 0);
-            let sp_work;
-            match instr.kind {
-                InstrKind::Forward { .. }
-                | InstrKind::Backward
-                | InstrKind::BackwardInput
-                | InstrKind::BackwardWeight
-                | InstrKind::Recompute => {
-                    // Serving ingress gate: a first-stage forward may not
-                    // start before its micro-batch was released. The wait
-                    // is idle time exactly like a recv wait — checkpoint
-                    // chunks drain into it, the rest is recv-blocked.
-                    if let Some(sv) = self.serving {
-                        if matches!(instr.kind, InstrKind::Forward { .. })
-                            && sv.topo.is_first_stage(self.device, instr.part)
-                        {
-                            sp_gate = sv.release_of(instr.micro);
-                            let gap = sp_gate.saturating_sub(self.clock);
-                            let drained = self.drain_chunks(gap);
-                            self.telemetry.classes.on_recv_gap(gap, drained);
-                            self.clock += gap;
-                        }
-                    }
-                    let mut dur = self.jittered(self.cost.duration(self.device, instr));
-                    if faults_active {
-                        let factor = self.faults.slow_factor(iter_idx, pc);
-                        if factor != 1.0 {
-                            dur = (dur as f64 * factor).round() as Nanos;
-                            let fault = self
-                                .faults
-                                .slowdowns
-                                .iter()
-                                .copied()
-                                .find(|s| matches!(*s, FaultKind::Slowdown { from_pc, until_pc, .. } if (from_pc..until_pc).contains(&pc)));
-                            if let Some(fault) = fault {
-                                // One report per fault, not one per slowed
-                                // instruction.
-                                if !self.absorbed.iter().any(|r| r.fault == fault) {
-                                    let rep =
-                                        self.report(fault, pc, Some(instr), "compute slowed");
-                                    self.absorbed.push(rep);
-                                }
-                            }
-                        }
-                    }
-                    self.clock += dur;
-                    self.telemetry.classes.compute_ns += dur;
-                    sp_work = dur;
-                    self.apply_mem(pc, instr)?;
-                    // Serving egress: a last-stage forward completes its
-                    // micro-batch (observational write — never read here).
-                    if let Some(sv) = self.serving {
-                        if matches!(instr.kind, InstrKind::Forward { .. })
-                            && sv.topo.is_last_stage(self.device, instr.part)
-                        {
-                            sv.board.record(instr.micro, self.clock);
-                        }
-                    }
-                }
-                InstrKind::SendAct { peer } | InstrKind::SendGrad { peer } => {
-                    let class = if matches!(instr.kind, InstrKind::SendAct { .. }) {
-                        MsgClass::Act
-                    } else {
-                        MsgClass::Grad
-                    };
-                    let launch = self.cost.p2p_launch_overhead();
-                    self.clock += launch;
-                    self.telemetry.classes.comm_launch_ns += launch;
-                    sp_work = launch;
-                    let nth = {
-                        let c = self.sends_to.entry(peer).or_insert(0);
-                        let n = *c;
-                        *c += 1;
-                        n
-                    };
-                    let fault = if faults_active {
-                        self.faults.send_fault(iter_idx, peer, nth)
-                    } else {
-                        None
-                    };
-                    if let Some(stall @ FaultKind::LinkStall { .. }) = fault {
-                        // Drop the packet: the receiver's pairing recv can
-                        // never complete and reports the stall. The send
-                        // side absorbs it (buffers freed as usual below).
-                        let rep = self.report(stall, pc, Some(instr), "packet dropped");
-                        self.absorbed.push(rep);
-                        self.apply_mem(pc, instr)?;
-                        if self.record {
-                            self.timeline.push(TimelineEvent {
-                                device: self.device,
-                                instr: instr.to_string(),
-                                start,
-                                end: self.clock,
-                            });
-                        }
-                        if self.record_spans {
-                            self.spans.push(OpSpan {
-                                device: self.device,
-                                iter: iter_idx,
-                                pc: pc as u32,
-                                start,
-                                end: self.clock,
-                                work_ns: sp_work,
-                                sent_at: 0,
-                                wire_ns: 0,
-                                gate_ns: 0,
-                            });
-                        }
-                        continue;
-                    }
-                    let delay = match fault {
-                        Some(f @ FaultKind::LinkDelay { extra_ns, .. }) => {
-                            let rep = self.report(f, pc, Some(instr), "packet delayed");
-                            self.absorbed.push(rep);
-                            extra_ns
-                        }
-                        _ => 0,
-                    };
-                    let header = Header {
-                        class,
-                        micro: instr.micro,
-                        part: instr.part,
-                    };
-                    let bytes = self.cost.boundary_bytes(self.device, instr.part);
-                    let half = match self.out.get_mut(&(peer, class, instr.part)) {
-                        Some(h) => h,
-                        None => {
-                            return Err(EmuError::NoRoute {
-                                device: self.device,
-                                pc,
-                                peer,
-                            })
-                        }
-                    };
-                    self.stalls.enter(self.device, peer, pc);
-                    let sent = half.send_delayed(header, bytes, self.clock, delay);
-                    // Occupancy right after the send: the un-acked window,
-                    // which advances in lockstep with the simulator's
-                    // `Channel::outstanding`.
-                    let occupancy = half.outstanding() as u32;
-                    self.stalls.clear(self.device);
-                    match sent {
-                        Ok(t) => {
-                            // A capacity wait is idle time exactly like a
-                            // recv wait: async checkpoint chunks drain into
-                            // it too, and the drained slice is checkpoint
-                            // time rather than backpressure bubble.
-                            let blocked = t.saturating_sub(self.clock);
-                            let drained = self.drain_chunks(blocked);
-                            self.telemetry.classes.on_send_gap(blocked, drained);
-                            self.clock = t;
-                            self.link_sends
-                                .entry(peer)
-                                .or_default()
-                                .on_send(bytes, blocked, occupancy);
-                        }
-                        Err(e) => return Err(self.link_err(e, pc, instr, peer)),
-                    }
-                    self.apply_mem(pc, instr)?;
-                }
-                InstrKind::RecvAct { peer } | InstrKind::RecvGrad { peer } => {
-                    let class = if matches!(instr.kind, InstrKind::RecvAct { .. }) {
-                        MsgClass::Act
-                    } else {
-                        MsgClass::Grad
-                    };
-                    let launch = self.cost.p2p_launch_overhead();
-                    self.clock += launch;
-                    self.telemetry.classes.comm_launch_ns += launch;
-                    sp_work = launch;
-                    let expect = Header {
-                        class,
-                        micro: instr.micro,
-                        part: instr.part,
-                    };
-                    let cost = self.cost;
-                    let half = match self.inp.get_mut(&(peer, class, instr.part)) {
-                        Some(h) => h,
-                        None => {
-                            return Err(EmuError::NoRoute {
-                                device: self.device,
-                                pc,
-                                peer,
-                            })
-                        }
-                    };
-                    let me = self.device;
-                    self.stalls.enter(me, peer, pc);
-                    let got = half.recv_info(expect, self.clock, |b| {
-                        cost.p2p_time_between(peer, me, b)
-                    });
-                    self.stalls.clear(me);
-                    match got {
-                        Ok(info) => {
-                            // The wait for this message is exactly the idle
-                            // gap an async checkpoint write drains into; the
-                            // drained slice is checkpoint time, the rest a
-                            // genuine pipeline bubble.
-                            let gap = info.arrival.saturating_sub(self.clock);
-                            let drained = self.drain_chunks(gap);
-                            self.telemetry.classes.on_recv_gap(gap, drained);
-                            *self.link_recv_wait.entry(peer).or_default() += gap;
-                            self.clock = info.arrival;
-                            sp_sent = info.sent_at;
-                            sp_wire = info.wire_ns;
-                        }
-                        Err(e) => return Err(self.link_err(e, pc, instr, peer)),
-                    }
-                }
-                InstrKind::AllReduce => {
-                    let dt = self.cost.allreduce_time(self.device);
-                    self.clock += dt;
-                    self.telemetry.classes.allreduce_ns += dt;
-                    sp_work = dt;
-                }
-                InstrKind::OptimizerStep => {
-                    let dt = self.cost.optimizer_time(self.device);
-                    self.clock += dt;
-                    self.telemetry.classes.optimizer_ns += dt;
-                    sp_work = dt;
-                }
-            }
-            if self.record {
-                self.timeline.push(TimelineEvent {
-                    device: self.device,
-                    instr: instr.to_string(),
-                    start,
-                    end: self.clock,
-                });
-            }
-            if self.record_spans {
-                self.spans.push(OpSpan {
-                    device: self.device,
-                    iter: iter_idx,
-                    pc: pc as u32,
-                    start,
-                    end: self.clock,
-                    work_ns: sp_work,
-                    sent_at: sp_sent,
-                    wire_ns: sp_wire,
-                    gate_ns: sp_gate,
-                });
-            }
-        }
-        self.checkpoint_boundary(program, iter_idx)
-    }
-
-    /// Flushes checkpoint chunks into an idle gap of `gap` ns observed at
-    /// a blocking recv or a capacity-blocked send: every chunk that fits
-    /// in the gap drains for free
-    /// (the device would have been waiting anyway). Once the last chunk
-    /// flushes, the in-flight checkpoint becomes durable. Returns the
-    /// flush time drained into the gap (telemetry's `ckpt_absorbed_ns`).
-    fn drain_chunks(&mut self, mut gap: Nanos) -> Nanos {
-        let mut drained = 0;
-        if self.pending_chunks.is_empty() {
-            return drained;
-        }
-        while let Some(&chunk) = self.pending_chunks.front() {
-            if chunk > gap {
-                return drained;
-            }
-            gap -= chunk;
-            drained += chunk;
-            self.pending_chunks.pop_front();
-            self.ckpts.record_chunk(self.device);
-        }
-        self.last_checkpoint = self.pending_ckpt_iters;
-        self.ckpts.record(self.device, self.last_checkpoint);
-        drained
-    }
-
-    /// Synchronously flushes whatever is left of the in-flight async
-    /// checkpoint write: the residue the bubbles did not absorb is charged
-    /// to the clock and the checkpoint becomes durable.
-    fn flush_residue(&mut self) {
-        if self.pending_chunks.is_empty() {
-            return;
-        }
-        let residue: Nanos = self.pending_chunks.iter().sum();
-        for _ in 0..self.pending_chunks.len() {
-            self.ckpts.record_chunk(self.device);
-        }
-        self.pending_chunks.clear();
-        self.clock += residue;
-        self.telemetry.classes.ckpt_sync_ns += residue;
-        self.ckpts.record_paid(self.device, residue);
-        self.last_checkpoint = self.pending_ckpt_iters;
-        self.ckpts.record(self.device, self.last_checkpoint);
-    }
-
-    /// Drains the in-flight async checkpoint write at the end of the run
-    /// (there is no next iteration to hide the rest of it in). Called by
-    /// the runner after the last iteration completes cleanly.
-    pub fn drain_checkpoint(&mut self) {
-        let start = self.clock;
-        self.flush_residue();
-        if self.clock > start {
-            if self.record {
-                self.timeline.push(TimelineEvent {
-                    device: self.device,
-                    instr: "CKPT".to_string(),
-                    start,
-                    end: self.clock,
-                });
-            }
-            if self.record_spans {
-                self.spans.push(OpSpan {
-                    device: self.device,
-                    iter: self.iteration,
-                    pc: CKPT_PC,
-                    start,
-                    end: self.clock,
-                    work_ns: self.clock - start,
-                    sent_at: 0,
-                    wire_ns: 0,
-                    gate_ns: 0,
-                });
-            }
-        }
-    }
-
-    /// Writes the end-of-iteration model-state checkpoint when the active
-    /// policy puts a boundary at `iter_idx`: charges the (unjittered)
-    /// write time — or, with an async sharded policy, enqueues the chunk
-    /// flushes to drain into the next iteration's bubbles — holds the
-    /// transient serialization buffer against capacity, and records
-    /// completed writes on the shared board.
-    fn checkpoint_boundary(
-        &mut self,
-        program: &DeviceProgram,
-        iter_idx: u32,
-    ) -> Result<(), EmuError> {
-        let Some(policy) = self.checkpoint else {
-            return Ok(());
-        };
-        if !policy.is_boundary(iter_idx) {
-            return Ok(());
-        }
-        let start = self.clock;
-        // Whatever the previous async write could not hide must finish
-        // before this write starts: charge the residue synchronously.
-        self.flush_residue();
-        // The serialization buffer is transient but counts against
-        // capacity at its peak — an injected squeeze can make the
-        // checkpoint itself the OOM site, attributed like any other
-        // squeeze-induced failure. The buffer is checked before any write
-        // cost is charged or durability recorded: a snapshot that cannot
-        // even be serialized never becomes a resume point.
-        let pc = program.len();
-        if let Err(cause) = self.ledger.alloc(AllocKey::Snapshot, policy.mem_overhead) {
-            return Err(match self.faults.squeeze {
-                Some(fault) => EmuError::Fault(Box::new(FaultReport {
-                    fault,
-                    device: self.device,
-                    pc,
-                    instr: "CKPT".to_string(),
-                    blocked_peer: None,
-                    vtime: self.clock,
-                    iteration: self.iteration,
-                    last_checkpoint: self.last_checkpoint,
-                    ckpt_paid_ns: 0,
-                    group: None,
-                    detail: format!("memory squeezed: {cause}"),
-                })),
-                None => EmuError::Oom {
-                    device: self.device,
-                    pc,
-                    instr: "CKPT".to_string(),
-                    cause,
-                },
-            });
-        }
-        self.ledger.free(AllocKey::Snapshot);
-        // The write is a model parameter, not a kernel: it is charged
-        // exactly as configured (no jitter, no straggler factor).
-        let shard = self.cost.ckpt_shard_bytes(self.device);
-        if policy.async_overlap() {
-            let chunks = policy.device_chunk_times(shard);
-            if chunks.is_empty() {
-                // Nothing to write: durable immediately at zero cost.
-                self.last_checkpoint = iter_idx + 1;
-                self.ckpts.record(self.device, self.last_checkpoint);
-            } else {
-                self.pending_chunks = chunks.into();
-                self.pending_ckpt_iters = iter_idx + 1;
-            }
-        } else {
-            let write = policy.device_write_ns(shard);
-            self.clock += write;
-            self.telemetry.classes.ckpt_sync_ns += write;
-            self.ckpts.record_paid(self.device, write);
-            self.last_checkpoint = iter_idx + 1;
-            self.ckpts.record(self.device, self.last_checkpoint);
-        }
-        if self.record {
-            self.timeline.push(TimelineEvent {
-                device: self.device,
-                instr: "CKPT".to_string(),
-                start,
-                end: self.clock,
-            });
-        }
-        if self.record_spans {
-            self.spans.push(OpSpan {
-                device: self.device,
-                iter: iter_idx,
-                pc: CKPT_PC,
-                start,
-                end: self.clock,
-                work_ns: self.clock - start,
-                sent_at: 0,
-                wire_ns: 0,
-                gate_ns: 0,
-            });
-        }
-        Ok(())
-    }
-
-    /// Poisons every channel half this device owns: outgoing data links
-    /// and the ack sides of incoming links. Called once the device has
-    /// settled (completed or failed), *before* the runtime is dropped, so
-    /// peers blocked on this device observe a FIFO-ordered end-of-stream
-    /// marker instead of a real-time-racy channel teardown.
-    pub fn poison_links(&mut self) {
-        for half in self.out.values_mut() {
-            half.poison();
-        }
-        for half in self.inp.values_mut() {
-            half.poison();
-        }
-    }
-
-    /// Finishes the run and reports.
-    pub fn finish(self) -> DeviceReport {
-        let mut telemetry = self.telemetry;
-        telemetry.peak_mem = self.ledger.peak();
-        telemetry.absorbed_faults = self.absorbed.len() as u32;
-        // The conservation invariant: every nanosecond of the clock is
-        // accounted to exactly one time class.
-        debug_assert_eq!(
-            telemetry.classes.total(),
-            self.clock,
-            "{}: time classes do not conserve the clock",
-            self.device
-        );
-        DeviceReport {
-            clock: self.clock,
-            peak_mem: self.ledger.peak(),
-            leaked: self.ledger.live_count(),
-            timeline: self.timeline,
-            absorbed: self.absorbed,
-            last_checkpoint: self.last_checkpoint,
-            telemetry,
-            link_sends: self.link_sends,
-            link_recv_wait: self.link_recv_wait,
-            spans: self.spans,
-        }
-    }
-
-    /// Current virtual clock (tests).
-    pub fn clock(&self) -> Nanos {
-        self.clock
     }
 }
 

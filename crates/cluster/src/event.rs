@@ -1,15 +1,17 @@
 //! The discrete-event executor: the emulator's scale path.
 //!
-//! One thread, no watchdog, no real-time blocking — every device is a
-//! resumable state machine and every link a plain queue of timestamped
-//! packets. The arithmetic is copied line-for-line from the thread
-//! backend ([`crate::device`] + [`crate::link`]): the same launch
-//! charges, the same `arrival = max(now, sent_at + transfer)` rule, the
-//! same ack-window capacity blocking, the same
-//! [`mario_ir::MemoryRules`] lifecycle and checkpoint chunk-drain
-//! arithmetic, the same nine-class telemetry split. With zero jitter the
-//! two backends (and the DP simulator) agree bit-for-bit — the
-//! three-way parity proptests pin it.
+//! One thread, no watchdog, no real-time blocking — every device is the
+//! shared resumable interpreter (`crate::device::Device`) and every
+//! link a plain queue of timestamped packets. This module is only a
+//! driver: it fulfils each send/recv the interpreter hands over with the
+//! same `arrival = max(now, sent_at + transfer)` rule and the same
+//! ack-window capacity blocking as the thread backend's [`crate::link`],
+//! parking the device while its queue is empty or its window full. All
+//! per-device semantics — jitter, fault hooks, memory lifecycle, the
+//! checkpoint chunk drain and telemetry — live in the interpreter and in
+//! [`mario_ir::DeviceCore`], so with zero jitter the two backends (and
+//! the DP simulator) agree bit-for-bit by construction; the three-way
+//! parity tests check the drivers.
 //!
 //! Why any execution order works: each device's instruction sequence is
 //! fixed, each channel is FIFO, and every clock update depends only on
@@ -24,22 +26,13 @@
 //! deadlock, detected in zero real time where the thread backend must
 //! wait out a watchdog.
 
-use crate::device::{CkptBoard, DeviceReport, StallTable, TimelineEvent};
+use crate::device::{links_of, Device, LinkKey, LinkOp, Settled, Shared, StallTable, Step};
 use crate::error::EmuError;
-use crate::faults::{DeviceFaults, FaultKind, FaultPlan, FaultReport};
-use crate::link::Header;
+use crate::faults::FaultPlan;
+use crate::link::{Header, LinkError};
 use crate::runner::{settle_report, EmulatorConfig, RunReport};
-use mario_ir::exec::MsgClass;
-use mario_ir::{
-    AllocKey, CheckpointPolicy, CostModel, DeviceId, DeviceProgram, DeviceTelemetry, Instr,
-    InstrKind, LinkSendStats, MemLedger, MemoryRules, Nanos, OpSpan, PartId, Schedule, CKPT_PC,
-};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mario_ir::{CkptBoard, CostModel, DeviceId, MemoryRules, Nanos, Schedule};
 use std::collections::{HashMap, VecDeque};
-
-/// A directed channel identity: (sender, receiver, class, part).
-type ChanKey = (DeviceId, DeviceId, MsgClass, PartId);
 
 /// One bounded-FIFO link, event-style: the data queue carries
 /// `(header, bytes, sent_at)` packets, `dequeues` buffers the receiver's
@@ -56,842 +49,77 @@ struct EventChannel {
     receiver_settled: bool,
 }
 
-/// The blocking operation a device is parked on.
-#[derive(Debug, Clone, Copy)]
-enum Waiting {
-    /// A send that found its ack window full.
-    Send {
-        pc: usize,
-        start: Nanos,
-        key: ChanKey,
-        header: Header,
-        bytes: u64,
-        delay: Nanos,
-    },
-    /// A recv that found the queue empty.
-    Recv {
-        pc: usize,
-        start: Nanos,
-        key: ChanKey,
-        expect: Header,
-    },
-}
-
-impl Waiting {
-    fn pc(&self) -> usize {
-        match self {
-            Waiting::Send { pc, .. } | Waiting::Recv { pc, .. } => *pc,
-        }
-    }
-
-    /// The peer the blocked operation pairs with.
-    fn peer(&self) -> DeviceId {
-        match self {
-            Waiting::Send { key, .. } => key.1,
-            Waiting::Recv { key, .. } => key.0,
-        }
+/// The channel `op` on device `me` uses.
+fn chan_key(me: DeviceId, op: LinkOp) -> LinkKey {
+    let (class, part) = op.class_part();
+    match op {
+        LinkOp::Send { peer, .. } => (me, peer, class, part),
+        LinkOp::Recv { peer, .. } => (peer, me, class, part),
     }
 }
 
-/// Shared, immutable context every device step needs.
-struct EvEnv<'a> {
-    rules: &'a MemoryRules,
-    stalls: &'a StallTable,
-    ckpts: &'a CkptBoard,
+/// One attempt at the operation `dev` is parked on: the event-queue
+/// mirror of `SendHalf::send_delayed` / `RecvHalf::recv_info`. None while
+/// it must stay parked; otherwise the completed operation's outcome.
+fn attempt(
+    dev: &mut Device<'_>,
+    op: LinkOp,
+    chan: &mut EventChannel,
     capacity: usize,
-}
-
-/// Outcome of stepping one device until it can make no more progress.
-enum Stepped {
-    /// Parked on a send or recv; a peer event must wake it.
-    Blocked,
-    /// Ran every iteration to completion.
-    Finished,
-    /// Hit a structured failure.
-    Failed(EmuError),
-}
-
-/// Outcome of one attempt at a blocking link operation.
-enum Attempt {
-    Done,
-    Blocked,
-    Fail(ChanFail),
-}
-
-/// Link-level failure, the event analogue of `LinkError` minus
-/// `Timeout` (quiescence replaces the watchdog).
-enum ChanFail {
-    Disconnected,
-    Mismatch(Header),
-}
-
-/// Per-device state: the event-backend mirror of
-/// [`crate::device::DeviceRuntime`], plus a program counter and the
-/// parked operation, so execution can suspend and resume mid-program.
-struct EvDevice<'a> {
-    device: DeviceId,
-    program: &'a DeviceProgram,
-    cost: &'a dyn CostModel,
-    ledger: MemLedger,
-    clock: Nanos,
-    rng: StdRng,
-    jitter: f64,
-    straggler: f64,
-    record: bool,
-    timeline: Vec<TimelineEvent>,
-    record_spans: bool,
-    spans: Vec<OpSpan>,
-    /// `(sent_at, wire_ns)` of the last completed receive — stashed by
-    /// [`try_recv`] so the resume path can record the span.
-    last_recv: (Nanos, Nanos),
-    faults: DeviceFaults,
-    sends_to: HashMap<DeviceId, usize>,
-    absorbed: Vec<FaultReport>,
-    iteration: u32,
-    iters_total: u32,
-    pc: usize,
-    waiting: Option<Waiting>,
-    checkpoint: Option<CheckpointPolicy>,
-    last_checkpoint: u32,
-    pending_chunks: VecDeque<Nanos>,
-    pending_ckpt_iters: u32,
-    telemetry: DeviceTelemetry,
-    link_sends: HashMap<DeviceId, LinkSendStats>,
-    link_recv_wait: HashMap<DeviceId, Nanos>,
-    serving: Option<crate::serving::ServingHooks<'a>>,
-}
-
-impl<'a> EvDevice<'a> {
-    fn new(
-        device: DeviceId,
-        program: &'a DeviceProgram,
-        cost: &'a dyn CostModel,
-        cfg: &EmulatorConfig,
-        faults: DeviceFaults,
-        startup_ns: Nanos,
-        serving: Option<crate::serving::ServingHooks<'a>>,
-    ) -> Self {
-        // Identical straggler derivation to `DeviceRuntime::new`: a fixed
-        // per-device slowdown in [1, 1+spread], derived from the seed.
-        let mix = cfg
-            .seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((device.0 as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03));
-        let unit = (mix >> 11) as f64 / (1u64 << 53) as f64;
-        let straggler = 1.0 + cfg.straggler_spread * unit;
-        let capacity = match faults.squeezed_capacity() {
-            Some(squeezed) => Some(cfg.mem_capacity.unwrap_or(u64::MAX).min(squeezed)),
-            None => cfg.mem_capacity,
-        };
-        let mut telemetry = DeviceTelemetry::new(device);
-        telemetry.classes.reconfig_ns = startup_ns;
-        Self {
-            device,
-            program,
-            cost,
-            ledger: MemLedger::new(cost.static_mem(device), capacity),
-            clock: startup_ns,
-            rng: StdRng::seed_from_u64(
-                cfg.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(device.0 as u64 + 1)),
-            ),
-            jitter: cfg.jitter,
-            straggler,
-            record: cfg.record_timeline,
-            timeline: Vec::new(),
-            record_spans: cfg.record_spans,
-            spans: Vec::new(),
-            last_recv: (0, 0),
-            faults,
-            sends_to: HashMap::new(),
-            absorbed: Vec::new(),
-            iteration: 0,
-            iters_total: cfg.iterations,
-            pc: 0,
-            waiting: None,
-            checkpoint: cfg.checkpoint,
-            last_checkpoint: 0,
-            pending_chunks: VecDeque::new(),
-            pending_ckpt_iters: 0,
-            telemetry,
-            link_sends: HashMap::new(),
-            link_recv_wait: HashMap::new(),
-            serving,
-        }
-    }
-
-    fn jittered(&mut self, ns: Nanos) -> Nanos {
-        if self.jitter == 0.0 && self.straggler == 1.0 {
-            return ns;
-        }
-        let f = if self.jitter == 0.0 {
-            1.0
-        } else {
-            1.0 + self.rng.gen_range(-2.0 * self.jitter..=2.0 * self.jitter)
-        };
-        (ns as f64 * f * self.straggler).round() as Nanos
-    }
-
-    fn report(&self, fault: FaultKind, pc: usize, instr: Option<&Instr>, detail: &str) -> FaultReport {
-        FaultReport {
-            fault,
-            device: self.device,
-            pc,
-            instr: instr.map(|i| i.to_string()).unwrap_or_default(),
-            blocked_peer: None,
-            vtime: self.clock,
-            iteration: self.iteration,
-            last_checkpoint: self.last_checkpoint,
-            ckpt_paid_ns: 0,
-            group: None,
-            detail: detail.to_string(),
-        }
-    }
-
-    /// The event analogue of `DeviceRuntime::link_err`: an injected
-    /// incoming-link stall takes precedence over the mechanical failure
-    /// shape, so seeded runs reproduce identical reports on both
-    /// backends.
-    fn chan_err(&self, fail: ChanFail, pc: usize, peer: DeviceId) -> EmuError {
-        let instr = self.program.get(pc);
-        if let Some(fault) = self.faults.recv_stall_from(peer) {
-            let mut report = self.report(fault, pc, instr, "incoming link stalled");
-            report.blocked_peer = Some(peer);
-            return EmuError::Fault(Box::new(report));
-        }
-        match fail {
-            ChanFail::Disconnected => EmuError::PeerFailed {
-                device: self.device,
-                pc,
-            },
-            ChanFail::Mismatch(h) => EmuError::CommMismatch {
-                device: self.device,
-                pc,
-                detail: instr
-                    .map(|i| format!("expected {i}, got {h:?}"))
-                    .unwrap_or_else(|| format!("got {h:?}")),
-            },
-        }
-    }
-
-    fn apply_mem(&mut self, env: &EvEnv<'_>, pc: usize, instr: &Instr) -> Result<(), EmuError> {
-        let squeeze = self.faults.squeeze;
-        let device = self.device;
-        let last_checkpoint = self.last_checkpoint;
-        let vtime = self.clock;
-        let iteration = self.iteration;
-        env.rules
-            .apply(&mut self.ledger, self.cost, device, instr)
-            .map_err(|cause| match squeeze {
-                Some(fault) => EmuError::Fault(Box::new(FaultReport {
-                    fault,
-                    device,
-                    pc,
-                    instr: instr.to_string(),
-                    blocked_peer: None,
-                    vtime,
-                    iteration,
-                    last_checkpoint,
-                    ckpt_paid_ns: 0,
-                    group: None,
-                    detail: format!("memory squeezed: {cause}"),
-                })),
-                None => EmuError::Oom {
-                    device,
-                    pc,
-                    instr: instr.to_string(),
-                    cause,
-                },
-            })
-    }
-
-    fn record_event(&mut self, instr: &Instr, start: Nanos) {
-        if self.record {
-            self.timeline.push(TimelineEvent {
-                device: self.device,
-                instr: instr.to_string(),
-                start,
-                end: self.clock,
-            });
-        }
-    }
-
-    /// Records one executed span ending at the current clock; field
-    /// semantics identical to the thread backend's capture.
-    #[allow(clippy::too_many_arguments)]
-    fn record_span(
-        &mut self,
-        pc: u32,
-        start: Nanos,
-        work_ns: Nanos,
-        sent_at: Nanos,
-        wire_ns: Nanos,
-        gate_ns: Nanos,
-    ) {
-        if self.record_spans {
-            self.spans.push(OpSpan {
-                device: self.device,
-                iter: self.iteration,
-                pc,
-                start,
-                end: self.clock,
-                work_ns,
-                sent_at,
-                wire_ns,
-                gate_ns,
-            });
-        }
-    }
-
-    /// Identical chunk-drain arithmetic to `DeviceRuntime::drain_chunks`:
-    /// flush pending async-checkpoint chunks into an idle gap, front
-    /// first, durable once the queue empties.
-    fn drain_chunks(&mut self, env: &EvEnv<'_>, mut gap: Nanos) -> Nanos {
-        let mut drained = 0;
-        if self.pending_chunks.is_empty() {
-            return drained;
-        }
-        while let Some(&chunk) = self.pending_chunks.front() {
-            if chunk > gap {
-                return drained;
-            }
-            gap -= chunk;
-            drained += chunk;
-            self.pending_chunks.pop_front();
-            env.ckpts.record_chunk(self.device);
-        }
-        self.last_checkpoint = self.pending_ckpt_iters;
-        env.ckpts.record(self.device, self.last_checkpoint);
-        drained
-    }
-
-    /// Synchronously pays whatever the bubbles did not absorb
-    /// (`DeviceRuntime::flush_residue`).
-    fn flush_residue(&mut self, env: &EvEnv<'_>) {
-        if self.pending_chunks.is_empty() {
-            return;
-        }
-        let residue: Nanos = self.pending_chunks.iter().sum();
-        for _ in 0..self.pending_chunks.len() {
-            env.ckpts.record_chunk(self.device);
-        }
-        self.pending_chunks.clear();
-        self.clock += residue;
-        self.telemetry.classes.ckpt_sync_ns += residue;
-        env.ckpts.record_paid(self.device, residue);
-        self.last_checkpoint = self.pending_ckpt_iters;
-        env.ckpts.record(self.device, self.last_checkpoint);
-    }
-
-    /// End-of-run residue flush (`DeviceRuntime::drain_checkpoint`).
-    fn drain_checkpoint(&mut self, env: &EvEnv<'_>) {
-        let start = self.clock;
-        self.flush_residue(env);
-        if self.clock > start {
-            if self.record {
-                self.timeline.push(TimelineEvent {
-                    device: self.device,
-                    instr: "CKPT".to_string(),
-                    start,
-                    end: self.clock,
-                });
-            }
-            if self.record_spans {
-                self.spans.push(OpSpan {
-                    device: self.device,
-                    // `iteration` has already advanced past the last one
-                    // here (the run-complete check), so rewind it — the
-                    // thread backend records the last iteration's index.
-                    iter: self.iters_total.saturating_sub(1),
-                    pc: CKPT_PC,
-                    start,
-                    end: self.clock,
-                    work_ns: self.clock - start,
-                    sent_at: 0,
-                    wire_ns: 0,
-                    gate_ns: 0,
-                });
-            }
-        }
-    }
-
-    /// End-of-iteration checkpoint write
-    /// (`DeviceRuntime::checkpoint_boundary`), arithmetic unchanged.
-    fn checkpoint_boundary(&mut self, env: &EvEnv<'_>, iter_idx: u32) -> Result<(), EmuError> {
-        let Some(policy) = self.checkpoint else {
-            return Ok(());
-        };
-        if !policy.is_boundary(iter_idx) {
-            return Ok(());
-        }
-        let start = self.clock;
-        self.flush_residue(env);
-        // The serialization buffer is checked before any write cost is
-        // charged or durability recorded.
-        let pc = self.program.len();
-        if let Err(cause) = self.ledger.alloc(AllocKey::Snapshot, policy.mem_overhead) {
-            return Err(match self.faults.squeeze {
-                Some(fault) => EmuError::Fault(Box::new(FaultReport {
-                    fault,
-                    device: self.device,
-                    pc,
-                    instr: "CKPT".to_string(),
-                    blocked_peer: None,
-                    vtime: self.clock,
-                    iteration: self.iteration,
-                    last_checkpoint: self.last_checkpoint,
-                    ckpt_paid_ns: 0,
-                    group: None,
-                    detail: format!("memory squeezed: {cause}"),
-                })),
-                None => EmuError::Oom {
-                    device: self.device,
-                    pc,
-                    instr: "CKPT".to_string(),
-                    cause,
-                },
-            });
-        }
-        self.ledger.free(AllocKey::Snapshot);
-        // The write is a model parameter, not a kernel: unjittered.
-        let shard = self.cost.ckpt_shard_bytes(self.device);
-        if policy.async_overlap() {
-            let chunks = policy.device_chunk_times(shard);
-            if chunks.is_empty() {
-                self.last_checkpoint = iter_idx + 1;
-                env.ckpts.record(self.device, self.last_checkpoint);
-            } else {
-                self.pending_chunks = chunks.into();
-                self.pending_ckpt_iters = iter_idx + 1;
-            }
-        } else {
-            let write = policy.device_write_ns(shard);
-            self.clock += write;
-            self.telemetry.classes.ckpt_sync_ns += write;
-            env.ckpts.record_paid(self.device, write);
-            self.last_checkpoint = iter_idx + 1;
-            env.ckpts.record(self.device, self.last_checkpoint);
-        }
-        if self.record {
-            self.timeline.push(TimelineEvent {
-                device: self.device,
-                instr: "CKPT".to_string(),
-                start,
-                end: self.clock,
-            });
-        }
-        if self.record_spans {
-            self.spans.push(OpSpan {
-                device: self.device,
-                iter: iter_idx,
-                pc: CKPT_PC,
-                start,
-                end: self.clock,
-                work_ns: self.clock - start,
-                sent_at: 0,
-                wire_ns: 0,
-                gate_ns: 0,
-            });
-        }
-        Ok(())
-    }
-
-    /// Finishes the run and reports (`DeviceRuntime::finish`, by
-    /// mutable reference so the scheduler can keep the device slot).
-    fn finish(&mut self) -> DeviceReport {
-        let mut telemetry = std::mem::take(&mut self.telemetry);
-        telemetry.device = self.device;
-        telemetry.peak_mem = self.ledger.peak();
-        telemetry.absorbed_faults = self.absorbed.len() as u32;
-        debug_assert_eq!(
-            telemetry.classes.total(),
-            self.clock,
-            "{}: time classes do not conserve the clock",
-            self.device
-        );
-        DeviceReport {
-            clock: self.clock,
-            peak_mem: self.ledger.peak(),
-            leaked: self.ledger.live_count(),
-            timeline: std::mem::take(&mut self.timeline),
-            absorbed: std::mem::take(&mut self.absorbed),
-            last_checkpoint: self.last_checkpoint,
-            telemetry,
-            link_sends: std::mem::take(&mut self.link_sends),
-            link_recv_wait: std::mem::take(&mut self.link_recv_wait),
-            spans: std::mem::take(&mut self.spans),
-        }
-    }
-}
-
-/// One attempt at a parked send: the event-queue mirror of
-/// `SendHalf::send_delayed` plus the post-send accounting from the
-/// thread backend's send arm (capacity wait, chunk drain, gap split,
-/// link stats).
-fn try_send(
-    dev: &mut EvDevice<'_>,
-    env: &EvEnv<'_>,
-    chan: &mut EventChannel,
-    peer: DeviceId,
-    header: Header,
-    bytes: u64,
-    delay: Nanos,
-) -> Attempt {
-    let mut now = dev.clock;
-    if chan.outstanding == env.capacity {
-        match chan.dequeues.pop_front() {
-            // The buffer was full until the receiver dequeued the
-            // oldest packet: the send completes at that time.
-            Some(dequeued_at) => {
-                chan.outstanding -= 1;
-                now = now.max(dequeued_at);
-            }
-            // No ack will ever come: the receiver settled. FIFO order
-            // guarantees every genuine ack was consumed first — the
-            // exact observation the thread backend's ack-poison makes.
-            None if chan.receiver_settled => {
-                env.stalls.clear(dev.device);
-                return Attempt::Fail(ChanFail::Disconnected);
-            }
-            None => return Attempt::Blocked,
-        }
-    }
-    chan.queue.push_back((header, bytes, now + delay));
-    chan.outstanding += 1;
-    // Occupancy right after the send: the un-acked window.
-    let occupancy = chan.outstanding as u32;
-    env.stalls.clear(dev.device);
-    // A capacity wait is idle time exactly like a recv wait: async
-    // checkpoint chunks drain into it too.
-    let blocked = now.saturating_sub(dev.clock);
-    let drained = dev.drain_chunks(env, blocked);
-    dev.telemetry.classes.on_send_gap(blocked, drained);
-    dev.clock = now;
-    dev.link_sends
-        .entry(peer)
-        .or_default()
-        .on_send(bytes, blocked, occupancy);
-    Attempt::Done
-}
-
-/// One attempt at a parked recv: the mirror of `RecvHalf::recv` plus
-/// the thread backend's recv-arm accounting (gap, chunk drain,
-/// recv-wait stats).
-fn try_recv(
-    dev: &mut EvDevice<'_>,
-    env: &EvEnv<'_>,
-    chan: &mut EventChannel,
-    peer: DeviceId,
-    expect: Header,
-) -> Attempt {
-    let Some(&(header, bytes, sent_at)) = chan.queue.front() else {
-        if chan.sender_settled {
-            // Queue drained and the sender will never send again:
-            // FIFO-ordered end-of-stream, after all genuine packets.
-            env.stalls.clear(dev.device);
-            return Attempt::Fail(ChanFail::Disconnected);
-        }
-        return Attempt::Blocked;
-    };
-    chan.queue.pop_front();
-    env.stalls.clear(dev.device);
-    if header != expect {
-        // The mismatched packet is consumed and never acked, exactly
-        // like the thread backend.
-        return Attempt::Fail(ChanFail::Mismatch(header));
-    }
-    let wire_ns = dev.cost.p2p_time_between(peer, dev.device, bytes);
-    let arrival = dev.clock.max(sent_at + wire_ns);
-    dev.last_recv = (sent_at, wire_ns);
-    chan.dequeues.push_back(arrival);
-    let gap = arrival.saturating_sub(dev.clock);
-    let drained = dev.drain_chunks(env, gap);
-    dev.telemetry.classes.on_recv_gap(gap, drained);
-    *dev.link_recv_wait.entry(peer).or_default() += gap;
-    dev.clock = arrival;
-    Attempt::Done
-}
-
-/// Runs one device until it blocks, finishes, or fails. Instruction
-/// semantics are copied from `DeviceRuntime::run_iteration`; the only
-/// structural difference is that blocking sends/recvs park the device
-/// (`EvDevice::waiting`) instead of blocking a thread, and the loop top
-/// owns the single resume path.
-fn step(
-    dev: &mut EvDevice<'_>,
-    env: &EvEnv<'_>,
-    chans: &mut HashMap<ChanKey, EventChannel>,
-    wakes: &mut Vec<usize>,
-) -> Stepped {
-    loop {
-        // Resume a parked operation first: the one completion path for
-        // both the initial attempt and every retry.
-        if let Some(w) = dev.waiting {
-            match w {
-                Waiting::Send {
-                    pc,
-                    start,
-                    key,
-                    header,
-                    bytes,
-                    delay,
-                } => {
-                    let chan = chans.get_mut(&key).expect("send channel was discovered");
-                    match try_send(dev, env, chan, key.1, header, bytes, delay) {
-                        Attempt::Blocked => return Stepped::Blocked,
-                        Attempt::Done => {
-                            dev.waiting = None;
-                            wakes.push(key.1.index());
-                            let program = dev.program;
-                            let instr = program.get(pc).expect("pc in range");
-                            if let Err(e) = dev.apply_mem(env, pc, instr) {
-                                return Stepped::Failed(e);
-                            }
-                            dev.record_event(instr, start);
-                            let launch = dev.cost.p2p_launch_overhead();
-                            dev.record_span(pc as u32, start, launch, 0, 0, 0);
-                            dev.pc = pc + 1;
-                        }
-                        Attempt::Fail(f) => {
-                            dev.waiting = None;
-                            return Stepped::Failed(dev.chan_err(f, pc, key.1));
-                        }
+    stalls: &StallTable,
+) -> Option<Result<(), EmuError>> {
+    let me = dev.id();
+    match op {
+        LinkOp::Send {
+            header,
+            bytes,
+            delay,
+            ..
+        } => {
+            let mut now = dev.clock();
+            if chan.outstanding == capacity {
+                match chan.dequeues.pop_front() {
+                    // The buffer was full until the receiver dequeued the
+                    // oldest packet: the send completes at that time.
+                    Some(dequeued_at) => {
+                        chan.outstanding -= 1;
+                        now = now.max(dequeued_at);
                     }
-                }
-                Waiting::Recv {
-                    pc,
-                    start,
-                    key,
-                    expect,
-                } => {
-                    let chan = chans.get_mut(&key).expect("recv channel was discovered");
-                    match try_recv(dev, env, chan, key.0, expect) {
-                        Attempt::Blocked => return Stepped::Blocked,
-                        Attempt::Done => {
-                            dev.waiting = None;
-                            wakes.push(key.0.index());
-                            let program = dev.program;
-                            let instr = program.get(pc).expect("pc in range");
-                            dev.record_event(instr, start);
-                            let launch = dev.cost.p2p_launch_overhead();
-                            let (sent_at, wire_ns) = dev.last_recv;
-                            dev.record_span(pc as u32, start, launch, sent_at, wire_ns, 0);
-                            dev.pc = pc + 1;
-                        }
-                        Attempt::Fail(f) => {
-                            dev.waiting = None;
-                            return Stepped::Failed(dev.chan_err(f, pc, key.0));
-                        }
+                    // No ack will ever come: the receiver settled. FIFO
+                    // order guarantees every genuine ack was consumed
+                    // first — the observation the thread backend's
+                    // ack-poison makes.
+                    None if chan.receiver_settled => {
+                        stalls.clear(me);
+                        return Some(Err(dev.link_failed(LinkError::Disconnected)));
                     }
+                    None => return None,
                 }
             }
-            continue;
+            chan.queue.push_back((header, bytes, now + delay));
+            chan.outstanding += 1;
+            stalls.clear(me);
+            Some(dev.sent(now, chan.outstanding as u32))
         }
-        if dev.iteration >= dev.iters_total {
-            // No bubbles remain past the last instruction: pay any
-            // async-checkpoint residue so the final checkpoint is
-            // durable when the run ends.
-            dev.drain_checkpoint(env);
-            return Stepped::Finished;
-        }
-        let program = dev.program;
-        if dev.pc >= program.len() {
-            if let Err(e) = dev.checkpoint_boundary(env, dev.iteration) {
-                return Stepped::Failed(e);
+        LinkOp::Recv { peer, expect } => {
+            let Some((header, bytes, sent_at)) = chan.queue.pop_front() else {
+                if !chan.sender_settled {
+                    return None;
+                }
+                // Queue drained and the sender will never send again:
+                // FIFO-ordered end-of-stream, after all genuine packets.
+                stalls.clear(me);
+                return Some(Err(dev.link_failed(LinkError::Disconnected)));
+            };
+            stalls.clear(me);
+            if header != expect {
+                // The mismatched packet is consumed and never acked,
+                // exactly like the thread backend.
+                return Some(Err(dev.link_failed(LinkError::Mismatch(header))));
             }
-            dev.iteration += 1;
-            dev.pc = 0;
-            // Packet numbering is per-iteration, matching `send_sites`
-            // and the profile's `LinkSlack::nth`.
-            dev.sends_to.clear();
-            continue;
-        }
-        let pc = dev.pc;
-        let instr = program.get(pc).expect("pc in range");
-        let faults_active = !dev.faults.is_empty() && dev.iteration == dev.faults.iteration;
-        if faults_active {
-            if let Some(fault @ FaultKind::Crash { pc: at, .. }) = dev.faults.crash {
-                if at == pc {
-                    return Stepped::Failed(EmuError::Fault(Box::new(dev.report(
-                        fault,
-                        pc,
-                        Some(instr),
-                        "device crashed",
-                    ))));
-                }
-            }
-        }
-        let start = dev.clock;
-        match instr.kind {
-            InstrKind::Forward { .. }
-            | InstrKind::Backward
-            | InstrKind::BackwardInput
-            | InstrKind::BackwardWeight
-            | InstrKind::Recompute => {
-                // Serving ingress gate, arithmetic identical to the
-                // thread backend's: idle until the micro's release, with
-                // checkpoint chunks draining into the wait.
-                let mut sp_gate = 0;
-                if let Some(sv) = dev.serving {
-                    if matches!(instr.kind, InstrKind::Forward { .. })
-                        && sv.topo.is_first_stage(dev.device, instr.part)
-                    {
-                        sp_gate = sv.release_of(instr.micro);
-                        let gap = sp_gate.saturating_sub(dev.clock);
-                        let drained = dev.drain_chunks(env, gap);
-                        dev.telemetry.classes.on_recv_gap(gap, drained);
-                        dev.clock += gap;
-                    }
-                }
-                let mut dur = dev.jittered(dev.cost.duration(dev.device, instr));
-                if faults_active {
-                    let factor = dev.faults.slow_factor(dev.iteration, pc);
-                    if factor != 1.0 {
-                        dur = (dur as f64 * factor).round() as Nanos;
-                        let fault = dev
-                            .faults
-                            .slowdowns
-                            .iter()
-                            .copied()
-                            .find(|s| matches!(*s, FaultKind::Slowdown { from_pc, until_pc, .. } if (from_pc..until_pc).contains(&pc)));
-                        if let Some(fault) = fault {
-                            // One report per fault, not one per slowed
-                            // instruction.
-                            if !dev.absorbed.iter().any(|r| r.fault == fault) {
-                                let rep = dev.report(fault, pc, Some(instr), "compute slowed");
-                                dev.absorbed.push(rep);
-                            }
-                        }
-                    }
-                }
-                dev.clock += dur;
-                dev.telemetry.classes.compute_ns += dur;
-                if let Err(e) = dev.apply_mem(env, pc, instr) {
-                    return Stepped::Failed(e);
-                }
-                // Serving egress: a last-stage forward completes its micro.
-                if let Some(sv) = dev.serving {
-                    if matches!(instr.kind, InstrKind::Forward { .. })
-                        && sv.topo.is_last_stage(dev.device, instr.part)
-                    {
-                        sv.board.record(instr.micro, dev.clock);
-                    }
-                }
-                dev.record_event(instr, start);
-                dev.record_span(pc as u32, start, dur, 0, 0, sp_gate);
-                dev.pc = pc + 1;
-            }
-            InstrKind::SendAct { peer } | InstrKind::SendGrad { peer } => {
-                let class = if matches!(instr.kind, InstrKind::SendAct { .. }) {
-                    MsgClass::Act
-                } else {
-                    MsgClass::Grad
-                };
-                let launch = dev.cost.p2p_launch_overhead();
-                dev.clock += launch;
-                dev.telemetry.classes.comm_launch_ns += launch;
-                let nth = {
-                    let c = dev.sends_to.entry(peer).or_insert(0);
-                    let n = *c;
-                    *c += 1;
-                    n
-                };
-                let fault = if faults_active {
-                    dev.faults.send_fault(dev.iteration, peer, nth)
-                } else {
-                    None
-                };
-                if let Some(stall @ FaultKind::LinkStall { .. }) = fault {
-                    // Drop the packet: the receiver's pairing recv can
-                    // never complete and reports the stall; the send
-                    // side absorbs it.
-                    let rep = dev.report(stall, pc, Some(instr), "packet dropped");
-                    dev.absorbed.push(rep);
-                    if let Err(e) = dev.apply_mem(env, pc, instr) {
-                        return Stepped::Failed(e);
-                    }
-                    dev.record_event(instr, start);
-                    dev.record_span(pc as u32, start, launch, 0, 0, 0);
-                    dev.pc = pc + 1;
-                    continue;
-                }
-                let delay = match fault {
-                    Some(f @ FaultKind::LinkDelay { extra_ns, .. }) => {
-                        let rep = dev.report(f, pc, Some(instr), "packet delayed");
-                        dev.absorbed.push(rep);
-                        extra_ns
-                    }
-                    _ => 0,
-                };
-                let header = Header {
-                    class,
-                    micro: instr.micro,
-                    part: instr.part,
-                };
-                let bytes = dev.cost.boundary_bytes(dev.device, instr.part);
-                let key = (dev.device, peer, class, instr.part);
-                if !chans.contains_key(&key) {
-                    return Stepped::Failed(EmuError::NoRoute {
-                        device: dev.device,
-                        pc,
-                        peer,
-                    });
-                }
-                env.stalls.enter(dev.device, peer, pc);
-                dev.waiting = Some(Waiting::Send {
-                    pc,
-                    start,
-                    key,
-                    header,
-                    bytes,
-                    delay,
-                });
-            }
-            InstrKind::RecvAct { peer } | InstrKind::RecvGrad { peer } => {
-                let class = if matches!(instr.kind, InstrKind::RecvAct { .. }) {
-                    MsgClass::Act
-                } else {
-                    MsgClass::Grad
-                };
-                let launch = dev.cost.p2p_launch_overhead();
-                dev.clock += launch;
-                dev.telemetry.classes.comm_launch_ns += launch;
-                let expect = Header {
-                    class,
-                    micro: instr.micro,
-                    part: instr.part,
-                };
-                let key = (peer, dev.device, class, instr.part);
-                if !chans.contains_key(&key) {
-                    return Stepped::Failed(EmuError::NoRoute {
-                        device: dev.device,
-                        pc,
-                        peer,
-                    });
-                }
-                env.stalls.enter(dev.device, peer, pc);
-                dev.waiting = Some(Waiting::Recv {
-                    pc,
-                    start,
-                    key,
-                    expect,
-                });
-            }
-            InstrKind::AllReduce => {
-                let dt = dev.cost.allreduce_time(dev.device);
-                dev.clock += dt;
-                dev.telemetry.classes.allreduce_ns += dt;
-                dev.record_event(instr, start);
-                dev.record_span(pc as u32, start, dt, 0, 0, 0);
-                dev.pc = pc + 1;
-            }
-            InstrKind::OptimizerStep => {
-                let dt = dev.cost.optimizer_time(dev.device);
-                dev.clock += dt;
-                dev.telemetry.classes.optimizer_ns += dt;
-                dev.record_event(instr, start);
-                dev.record_span(pc as u32, start, dt, 0, 0, 0);
-                dev.pc = pc + 1;
-            }
+            let arrival = dev.received(sent_at, dev.wire_ns(peer, bytes));
+            chan.dequeues.push_back(arrival);
+            Some(Ok(()))
         }
     }
 }
@@ -899,35 +127,42 @@ fn step(
 /// Per-device lists of the channel keys each device sends on (`out`)
 /// and receives on (`inp`), for settlement.
 struct Wiring {
-    out: Vec<Vec<ChanKey>>,
-    inp: Vec<Vec<ChanKey>>,
+    out: Vec<Vec<LinkKey>>,
+    inp: Vec<Vec<LinkKey>>,
 }
 
-/// Mutable scheduler state threaded through [`drain_queue`] and
-/// [`settle`].
+/// Mutable scheduler state threaded through [`Sched::drain_queue`] and
+/// [`Sched::settle`]. A device slot empties once the device settles.
 struct Sched<'a> {
-    devs: Vec<EvDevice<'a>>,
-    chans: HashMap<ChanKey, EventChannel>,
+    devs: Vec<Option<Device<'a>>>,
+    chans: HashMap<LinkKey, EventChannel>,
     wiring: Wiring,
     queue: VecDeque<usize>,
     queued: Vec<bool>,
-    results: Vec<Option<Result<DeviceReport, EmuError>>>,
+    results: Vec<Option<Settled>>,
+    capacity: usize,
+    stalls: &'a StallTable,
 }
 
 impl<'a> Sched<'a> {
     /// Enqueues `d` unless it already settled or is already queued.
     fn wake(&mut self, d: usize) {
-        if d < self.results.len() && self.results[d].is_none() && !self.queued[d] {
+        if self.devs.get(d).is_some_and(Option::is_some) && !self.queued[d] {
             self.queued[d] = true;
             self.queue.push_back(d);
         }
     }
 
-    /// Marks every channel half of settled device `d` as ended — the
-    /// event mirror of `poison_links`: peers observe end-of-stream only
-    /// after consuming all genuine traffic (FIFO order) — and wakes the
-    /// affected peers.
-    fn settle(&mut self, d: usize) {
+    /// Records device `d`'s outcome, then marks every channel half it
+    /// owns as ended — the event mirror of poisoning the links: peers
+    /// observe end-of-stream only after consuming all genuine traffic
+    /// (FIFO order) — and wakes the affected peers.
+    fn settle(&mut self, d: usize, outcome: Result<(), EmuError>) {
+        let dev = self.devs[d].take().expect("a device settles once");
+        if outcome.is_err() {
+            self.stalls.clear(dev.id());
+        }
+        self.results[d] = Some(outcome.map(|()| dev.finish()));
         let out = std::mem::take(&mut self.wiring.out[d]);
         for key in &out {
             if let Some(chan) = self.chans.get_mut(key) {
@@ -935,7 +170,6 @@ impl<'a> Sched<'a> {
             }
             self.wake(key.1.index());
         }
-        self.wiring.out[d] = out;
         let inp = std::mem::take(&mut self.wiring.inp[d]);
         for key in &inp {
             if let Some(chan) = self.chans.get_mut(key) {
@@ -943,33 +177,52 @@ impl<'a> Sched<'a> {
             }
             self.wake(key.0.index());
         }
-        self.wiring.inp[d] = inp;
+    }
+
+    /// Runs device `d` until it parks on a link (None), finishes or
+    /// fails. The loop top owns the single resume path for both the first
+    /// attempt at an operation and every retry.
+    fn run_device(&mut self, d: usize, wakes: &mut Vec<usize>) -> Option<Result<(), EmuError>> {
+        let dev = self.devs[d].as_mut().expect("only unsettled devices run");
+        loop {
+            let op = match dev.pending() {
+                Some(op) => op,
+                None => match dev.step() {
+                    Step::Link(op) => {
+                        if !self.chans.contains_key(&chan_key(dev.id(), op)) {
+                            return Some(Err(dev.no_route(op.peer())));
+                        }
+                        self.stalls.enter(dev.id(), op.peer(), dev.pc());
+                        op
+                    }
+                    Step::Finished => return Some(Ok(())),
+                    Step::Failed(e) => return Some(Err(e)),
+                },
+            };
+            let chan = self
+                .chans
+                .get_mut(&chan_key(dev.id(), op))
+                .expect("route checked at issue");
+            match attempt(dev, op, chan, self.capacity, self.stalls)? {
+                Ok(()) => wakes.push(op.peer().index()),
+                Err(e) => return Some(Err(e)),
+            }
+        }
     }
 
     /// Runs the worklist dry: steps every queued device, records
     /// settlements, propagates wakes.
-    fn drain_queue(&mut self, env: &EvEnv<'_>) {
+    fn drain_queue(&mut self) {
+        let mut wakes = Vec::new();
         while let Some(d) = self.queue.pop_front() {
             self.queued[d] = false;
-            if self.results[d].is_some() {
+            if self.devs[d].is_none() {
                 continue;
             }
-            let mut wakes = Vec::new();
-            let outcome = step(&mut self.devs[d], env, &mut self.chans, &mut wakes);
-            match outcome {
-                Stepped::Blocked => {}
-                Stepped::Finished => {
-                    let report = self.devs[d].finish();
-                    self.results[d] = Some(Ok(report));
-                    self.settle(d);
-                }
-                Stepped::Failed(e) => {
-                    env.stalls.clear(DeviceId(d as u32));
-                    self.results[d] = Some(Err(e));
-                    self.settle(d);
-                }
+            if let Some(outcome) = self.run_device(d, &mut wakes) {
+                self.settle(d, outcome);
             }
-            for w in wakes {
+            for w in wakes.drain(..) {
                 self.wake(w);
             }
         }
@@ -1068,134 +321,85 @@ fn run_event_inner(
     let rules = MemoryRules::new(schedule);
     let stalls = StallTable::new(devices);
     let ckpts = CkptBoard::new(devices);
-    let env = EvEnv {
+    let env = Shared {
+        schedule,
+        cost,
+        cfg: &cfg,
         rules: &rules,
         stalls: &stalls,
         ckpts: &ckpts,
-        capacity: cfg.channel_capacity,
+        serving,
     };
 
-    // Discover which directed (sender, receiver, class, part) links
-    // exist — the same scan the thread backend performs.
-    let mut chans: HashMap<ChanKey, EventChannel> = HashMap::new();
+    let mut chans: HashMap<LinkKey, EventChannel> = HashMap::new();
     let mut wiring = Wiring {
         out: vec![Vec::new(); devices],
         inp: vec![Vec::new(); devices],
     };
-    for prog in schedule.programs() {
-        for (_, i) in prog.iter() {
-            let (peer, class) = match i.kind {
-                InstrKind::SendAct { peer } => (peer, MsgClass::Act),
-                InstrKind::SendGrad { peer } => (peer, MsgClass::Grad),
-                _ => continue,
-            };
-            let key = (prog.device, peer, class, i.part);
-            if let std::collections::hash_map::Entry::Vacant(slot) = chans.entry(key) {
-                slot.insert(EventChannel::default());
-                wiring.out[prog.device.index()].push(key);
-                if let Some(keys) = wiring.inp.get_mut(peer.index()) {
-                    keys.push(key);
-                }
-            }
+    for key in links_of(schedule) {
+        chans.insert(key, EventChannel::default());
+        wiring.out[key.0.index()].push(key);
+        if let Some(keys) = wiring.inp.get_mut(key.1.index()) {
+            keys.push(key);
         }
     }
 
-    let devs: Vec<EvDevice> = (0..devices)
+    let devs = (0..devices)
         .map(|d| {
             let device = DeviceId(d as u32);
-            EvDevice::new(
+            let startup_ns = startup.get(d).copied().unwrap_or(0);
+            Some(Device::new(
+                env,
                 device,
-                schedule.program(device),
-                cost,
-                &cfg,
                 plan.for_device(device),
-                startup.get(d).copied().unwrap_or(0),
-                serving,
-            )
+                startup_ns,
+            ))
         })
         .collect();
-
     let mut sched = Sched {
         devs,
         chans,
         wiring,
-        queue: VecDeque::with_capacity(devices),
+        queue: order.iter().map(|&d| d as usize).collect(),
         queued: vec![true; devices],
         results: (0..devices).map(|_| None).collect(),
+        capacity: cfg.channel_capacity,
+        stalls: &stalls,
     };
-    for &d in order {
-        sched.queue.push_back(d as usize);
-    }
-    sched.drain_queue(&env);
+    sched.drain_queue();
 
     // Quiescence, phase 1: devices parked on a link with an injected
     // incoming stall are the stall surfacing — the event analogue of
-    // the thread backend's watchdog-timeout-then-`recv_stall_from`
-    // normalization in `link_err`. Settling one can cascade (peers
-    // observe the failure), so loop until no stall fires.
+    // the thread backend's watchdog-timeout-then-stall normalization in
+    // `Device::link_failed`. Settling one can cascade (peers observe the
+    // failure), so loop until no stall fires.
     loop {
-        let mut fired = false;
-        for d in 0..devices {
-            if sched.results[d].is_some() {
-                continue;
-            }
-            let Some(w) = sched.devs[d].waiting else {
-                continue;
-            };
-            let peer = w.peer();
-            let Some(fault) = sched.devs[d].faults.recv_stall_from(peer) else {
-                continue;
-            };
-            let pc = w.pc();
-            let instr = sched.devs[d].program.get(pc);
-            let mut report = sched.devs[d].report(fault, pc, instr, "incoming link stalled");
-            report.blocked_peer = Some(peer);
-            stalls.clear(DeviceId(d as u32));
-            sched.results[d] = Some(Err(EmuError::Fault(Box::new(report))));
-            sched.settle(d);
-            fired = true;
-        }
-        if !fired {
+        let stalled: Vec<(usize, EmuError)> = (0..devices)
+            .filter_map(|d| Some((d, sched.devs[d].as_ref()?.injected_stall()?)))
+            .collect();
+        if stalled.is_empty() {
             break;
         }
-        sched.drain_queue(&env);
+        for (d, err) in stalled {
+            sched.settle(d, Err(err));
+        }
+        sched.drain_queue();
     }
 
     // Quiescence, phase 2: anything still parked can never be woken —
     // that is a deadlock, detected in zero real time. Snapshot every
     // wait chain *before* settling anyone, so the named cycles do not
     // depend on settlement order.
-    let parked: Vec<usize> = (0..devices).filter(|&d| sched.results[d].is_none()).collect();
-    let chains: Vec<Vec<DeviceId>> = parked
-        .iter()
-        .map(|&d| stalls.wait_chain(DeviceId(d as u32)))
+    let parked: Vec<(usize, EmuError)> = (0..devices)
+        .filter_map(|d| {
+            let dev = sched.devs[d].as_ref()?;
+            Some((d, dev.deadlocked(stalls.wait_chain(dev.id()))))
+        })
         .collect();
-    for (&d, cycle) in parked.iter().zip(chains) {
-        let device = DeviceId(d as u32);
-        let (pc, instr) = match sched.devs[d].waiting {
-            Some(w) => {
-                let pc = w.pc();
-                (
-                    pc,
-                    sched.devs[d]
-                        .program
-                        .get(pc)
-                        .map(|i| i.to_string())
-                        .unwrap_or_default(),
-                )
-            }
-            None => (sched.devs[d].pc, String::new()),
-        };
-        stalls.clear(device);
-        sched.results[d] = Some(Err(EmuError::DeadlockSuspected {
-            device,
-            pc,
-            instr,
-            cycle,
-        }));
-        sched.settle(d);
+    for (d, err) in parked {
+        sched.settle(d, Err(err));
     }
-    sched.drain_queue(&env);
+    sched.drain_queue();
 
     let results = sched
         .results

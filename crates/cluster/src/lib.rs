@@ -35,12 +35,13 @@ pub mod link;
 pub mod runner;
 pub mod serving;
 
-pub use device::{CkptBoard, DeviceReport, StallTable, TimelineEvent};
+pub use device::StallTable;
 pub use error::EmuError;
 pub use event::{
     run_event, run_event_serving, run_event_with_faults, run_event_with_faults_startup,
 };
 pub use faults::{FaultGroup, FaultKind, FaultPlan, FaultReport};
+pub use mario_ir::{CkptBoard, TimelineEvent};
 pub use runner::{
     effective_watchdog, run, run_serving, run_with_elastic_recovery, run_with_faults,
     run_with_faults_startup, run_with_recovery, ElasticRun, EmulatorBackend, EmulatorConfig,

@@ -12,13 +12,14 @@
 //! faulted run a bounded number of times (the checkpoint-restart loop a
 //! real fleet scheduler would drive).
 
-use crate::device::{CkptBoard, DeviceCtx, DeviceReport, DeviceRuntime, StallTable, TimelineEvent};
+use crate::device::{links_of, Device, LinkOp, Settled, Shared, StallTable, Step};
 use crate::error::EmuError;
 use crate::faults::{FaultPlan, FaultReport};
 use crate::link::{link, RecvHalf, SendHalf};
 use mario_ir::exec::MsgClass;
 use mario_ir::{
-    CheckpointPolicy, CostModel, DeviceId, InstrKind, Nanos, Schedule, SpanGraph, Telemetry,
+    merge_reports, CheckpointPolicy, CkptBoard, CostModel, DeviceId, Nanos, PartId, Schedule,
+    SpanGraph, Telemetry, TimelineEvent,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -266,9 +267,84 @@ pub fn run_serving(
     run_threaded(schedule, cost, cfg, plan, &[], Some(hooks))
 }
 
-/// The thread backend's worker: spawns one OS thread per device and
-/// merges the reports. `serving` threads the serving hooks into every
-/// device runtime (None on training runs).
+/// One device's ends of its links on the thread backend, keyed by
+/// `(peer, class, part)`.
+#[derive(Default)]
+struct Links {
+    out: HashMap<(DeviceId, MsgClass, PartId), SendHalf>,
+    inp: HashMap<(DeviceId, MsgClass, PartId), RecvHalf>,
+}
+
+impl Links {
+    /// Poisons every half: outgoing data links and the ack sides of
+    /// incoming links. Called once the device has settled (completed or
+    /// failed), *before* the halves are dropped, so peers blocked on this
+    /// device observe a FIFO-ordered end-of-stream marker instead of a
+    /// real-time-racy channel teardown.
+    fn poison(&mut self) {
+        self.out.values_mut().for_each(SendHalf::poison);
+        self.inp.values_mut().for_each(RecvHalf::poison);
+    }
+}
+
+/// The thread backend's driver: fulfils each link operation the device
+/// hands over with a blocking call on its link halves.
+fn drive_blocking(
+    dev: &mut Device<'_>,
+    links: &mut Links,
+    stalls: &StallTable,
+) -> Result<(), EmuError> {
+    loop {
+        let op = match dev.step() {
+            Step::Link(op) => op,
+            Step::Finished => return Ok(()),
+            Step::Failed(e) => return Err(e),
+        };
+        let (me, peer, pc) = (dev.id(), op.peer(), dev.pc());
+        let (class, part) = op.class_part();
+        match op {
+            LinkOp::Send {
+                header,
+                bytes,
+                delay,
+                ..
+            } => {
+                let half = links
+                    .out
+                    .get_mut(&(peer, class, part))
+                    .ok_or_else(|| dev.no_route(peer))?;
+                stalls.enter(me, peer, pc);
+                let sent = half.send_delayed(header, bytes, dev.clock(), delay);
+                // Occupancy right after the send: the un-acked window.
+                let occupancy = half.outstanding() as u32;
+                stalls.clear(me);
+                match sent {
+                    Ok(freed) => dev.sent(freed, occupancy)?,
+                    Err(e) => return Err(dev.link_failed(e)),
+                }
+            }
+            LinkOp::Recv { expect, .. } => {
+                let half = links
+                    .inp
+                    .get_mut(&(peer, class, part))
+                    .ok_or_else(|| dev.no_route(peer))?;
+                stalls.enter(me, peer, pc);
+                let got = half.recv_info(expect, dev.clock(), |b| dev.wire_ns(peer, b));
+                stalls.clear(me);
+                match got {
+                    Ok(info) => {
+                        dev.received(info.sent_at, info.wire_ns);
+                    }
+                    Err(e) => return Err(dev.link_failed(e)),
+                }
+            }
+        }
+    }
+}
+
+/// The thread backend: spawns one OS thread per device and merges the
+/// reports. `serving` threads the serving hooks into every device (None
+/// on training runs).
 fn run_threaded(
     schedule: &Schedule,
     cost: &dyn CostModel,
@@ -282,28 +358,21 @@ fn run_threaded(
     let watchdog = effective_watchdog(schedule, &cfg);
     let stalls = StallTable::new(devices);
     let ckpts = CkptBoard::new(devices);
+    let env = Shared {
+        schedule,
+        cost,
+        cfg: &cfg,
+        rules: &rules,
+        stalls: &stalls,
+        ckpts: &ckpts,
+        serving,
+    };
 
-    // Discover which directed (sender, receiver, class) links exist.
-    let mut send_ends: Vec<HashMap<(DeviceId, MsgClass, mario_ir::PartId), SendHalf>> =
-        (0..devices).map(|_| HashMap::new()).collect();
-    let mut recv_ends: Vec<HashMap<(DeviceId, MsgClass, mario_ir::PartId), RecvHalf>> =
-        (0..devices).map(|_| HashMap::new()).collect();
-    for prog in schedule.programs() {
-        for (_, i) in prog.iter() {
-            let (peer, class) = match i.kind {
-                InstrKind::SendAct { peer } => (peer, MsgClass::Act),
-                InstrKind::SendGrad { peer } => (peer, MsgClass::Grad),
-                _ => continue,
-            };
-            let key_s = (peer, class, i.part);
-            if let std::collections::hash_map::Entry::Vacant(slot) =
-                send_ends[prog.device.index()].entry(key_s)
-            {
-                let (tx, rx) = link(cfg.channel_capacity, watchdog);
-                slot.insert(tx);
-                recv_ends[peer.index()].insert((prog.device, class, i.part), rx);
-            }
-        }
+    let mut links: Vec<Links> = (0..devices).map(|_| Links::default()).collect();
+    for (src, dst, class, part) in links_of(schedule) {
+        let (tx, rx) = link(cfg.channel_capacity, watchdog);
+        links[src.index()].out.insert((dst, class, part), tx);
+        links[dst.index()].inp.insert((src, class, part), rx);
     }
 
     // Settlement barrier for deterministic teardown: a device that has
@@ -316,70 +385,28 @@ fn run_threaded(
     // (and the recovery accounting built on it) reproducible.
     let settle = std::sync::Barrier::new(devices);
 
-    let mut results: Vec<Result<DeviceReport, EmuError>> = Vec::new();
+    let mut results: Vec<Settled> = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(devices);
-        for (d, (out, inp)) in send_ends
-            .into_iter()
-            .zip(recv_ends)
-            .enumerate()
-        {
-            let rules = &rules;
-            let stalls = &stalls;
-            let ckpts = &ckpts;
-            let settle = &settle;
+        for (d, mut links) in links.into_iter().enumerate() {
+            let (stalls, settle) = (&stalls, &settle);
             let device = DeviceId(d as u32);
-            let program = schedule.program(device);
             let faults = plan.for_device(device);
+            let startup_ns = startup.get(d).copied().unwrap_or(0);
             handles.push(scope.spawn(move || {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut rt = DeviceRuntime::new(
-                        DeviceCtx {
-                            device,
-                            cost,
-                            rules,
-                            mem_capacity: cfg.mem_capacity,
-                            jitter: cfg.jitter,
-                            straggler_spread: cfg.straggler_spread,
-                            seed: cfg.seed,
-                            record_timeline: cfg.record_timeline,
-                            record_spans: cfg.record_spans,
-                            faults,
-                            stalls,
-                            checkpoint: cfg.checkpoint,
-                            ckpts,
-                            startup_ns: startup.get(d).copied().unwrap_or(0),
-                            serving,
-                        },
-                        out,
-                        inp,
-                    );
-                    let mut failed = None;
-                    for iter in 0..cfg.iterations {
-                        if let Err(e) = rt.run_iteration(program, iter) {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                    if failed.is_none() {
-                        // No bubbles remain past the last instruction: any
-                        // async-checkpoint residue is paid synchronously so
-                        // the final checkpoint is durable when the run ends.
-                        rt.drain_checkpoint();
-                    }
-                    rt.poison_links();
-                    (rt, failed)
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                    let mut dev = Device::new(env, device, faults, startup_ns);
+                    let result = drive_blocking(&mut dev, &mut links, stalls);
+                    links.poison();
+                    // The halves stay alive until every device settled.
+                    (dev, result, links)
                 }));
                 // Every worker reaches the barrier, panicked or not (a
                 // panicking device lost its halves in the unwind and
                 // cannot poison, but it must not leave the others parked).
                 settle.wait();
                 match outcome {
-                    Ok((rt, None)) => Ok(rt.finish()),
-                    Ok((rt, Some(e))) => {
-                        drop(rt);
-                        Err(e)
-                    }
+                    Ok((dev, result, _links)) => result.map(|()| dev.finish()),
                     Err(payload) => std::panic::resume_unwind(payload),
                 }
             }));
@@ -406,24 +433,29 @@ fn run_threaded(
 
 /// Merges per-device outcomes into a [`RunReport`] (or the run's
 /// root-cause error). Shared by the thread and event backends so
-/// root-cause selection, critical-path arithmetic and telemetry assembly
-/// cannot drift between them.
+/// root-cause selection and critical-path arithmetic cannot drift between
+/// them; telemetry, timeline and span assembly go through
+/// [`mario_ir::merge_reports`], shared with the DP simulator too.
 ///
 /// Reports may carry *any* device ids — they need not be contiguous or
 /// dense (an elastic shrink's survivor set, for instance): everything
 /// below keys by each report's own device id, never by its position in
 /// the vector.
 pub(crate) fn settle_report(
-    results: Vec<Result<DeviceReport, EmuError>>,
+    results: Vec<Settled>,
     cfg: &EmulatorConfig,
     plan: &FaultPlan,
     ckpts: &CkptBoard,
 ) -> Result<RunReport, EmuError> {
     let mut reports = Vec::with_capacity(results.len());
+    let mut faults = Vec::new();
     let mut errors = Vec::new();
     for r in results {
         match r {
-            Ok(rep) => reports.push(rep),
+            Ok((report, absorbed)) => {
+                reports.push(report);
+                faults.extend(absorbed);
+            }
             Err(e) => errors.push(e),
         }
     }
@@ -446,9 +478,9 @@ pub(crate) fn settle_report(
         }
         return Err(root);
     }
-
-    let device_clocks: Vec<Nanos> = reports.iter().map(|r| r.clock).collect();
-    let total_ns = device_clocks.iter().copied().max().unwrap_or(0);
+    for f in &mut faults {
+        f.group = plan.group_of(&f.fault);
+    }
     // The per-iteration figure feeds throughput numbers and the Daly
     // interval tuner, both of which want the schedule's compute/comm time
     // with the checkpoint writes factored *out*: subtract what the
@@ -460,87 +492,22 @@ pub(crate) fn settle_report(
         .iter()
         .max_by_key(|r| r.clock)
         .map_or(DeviceId(0), |r| r.telemetry.device);
-    let ckpt_free_ns = total_ns.saturating_sub(ckpts.paid_of(critical));
+    let run = merge_reports(reports, cfg.channel_capacity);
+    debug_assert_eq!(run.telemetry.total_ckpt_sync_ns(), ckpts.total_paid());
+    let ckpt_free_ns = run.total_ns.saturating_sub(ckpts.paid_of(critical));
     let iters = cfg.iterations.max(1) as u64;
-    let iter_ns = (ckpt_free_ns + iters / 2) / iters;
-    let mut timeline: Vec<TimelineEvent> = reports
-        .iter()
-        .flat_map(|r| r.timeline.iter().cloned())
-        .collect();
-    timeline.sort_by_key(|e| (e.start, e.device.0));
-    let faults: Vec<FaultReport> = reports
-        .iter()
-        .flat_map(|r| r.absorbed.iter().cloned())
-        .map(|mut r| {
-            r.group = plan.group_of(&r.fault);
-            r
-        })
-        .collect();
-    // Assemble the flight recorder through the same constructor the DP
-    // simulator uses, so link merge/order arithmetic cannot drift.
-    let telemetry = Telemetry::assemble(
-        reports.iter().map(|r| r.telemetry.clone()).collect(),
-        reports.iter().flat_map(|r| {
-            let src = r.telemetry.device;
-            r.link_sends.iter().map(move |(&dst, &s)| ((src, dst), s))
-        }),
-        reports.iter().flat_map(|r| {
-            let dst = r.telemetry.device;
-            r.link_recv_wait.iter().map(move |(&src, &ns)| ((src, dst), ns))
-        }),
-    );
-    // Conservation is checked against clocks keyed by device *id* (the
-    // index `check_conservation` uses), which only coincides with report
-    // order when ids happen to be dense.
-    let clocks_by_id = {
-        let slots = reports
-            .iter()
-            .map(|r| r.telemetry.device.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut v = vec![0; slots];
-        for r in &reports {
-            v[r.telemetry.device.index()] = r.clock;
-        }
-        v
-    };
-    debug_assert!(
-        telemetry.check_conservation(&clocks_by_id).is_ok(),
-        "telemetry conservation violated: {:?}",
-        telemetry.check_conservation(&clocks_by_id)
-    );
-    debug_assert_eq!(telemetry.total_ckpt_sync_ns(), ckpts.total_paid());
-    // Merge per-device span streams into one graph, keyed by each
-    // report's own device id (gappy survivor sets included).
-    let spans = if cfg.record_spans {
-        let mut graph = SpanGraph::new(0, cfg.channel_capacity);
-        for r in &reports {
-            for &s in &r.spans {
-                graph.push(s);
-            }
-        }
-        graph.makespan = total_ns;
-        debug_assert!(
-            graph.check_tiling(&clocks_by_id).is_ok(),
-            "span tiling violated on {:?}",
-            graph.check_tiling(&clocks_by_id)
-        );
-        Some(graph)
-    } else {
-        None
-    };
     Ok(RunReport {
-        total_ns,
-        iter_ns,
-        device_clocks,
-        peak_mem: reports.iter().map(|r| r.peak_mem).collect(),
-        timeline,
+        total_ns: run.total_ns,
+        iter_ns: (ckpt_free_ns + iters / 2) / iters,
+        device_clocks: run.device_clocks,
+        peak_mem: run.telemetry.devices.iter().map(|d| d.peak_mem).collect(),
+        timeline: run.timeline,
         faults,
         last_checkpoint: cfg.checkpoint.map(|_| ckpts.cluster_saved()),
         ckpt_overhead_ns: ckpts.total_paid(),
-        telemetry,
+        telemetry: run.telemetry,
         serving: None,
-        spans,
+        spans: cfg.record_spans.then_some(run.spans),
     })
 }
 
@@ -1518,24 +1485,22 @@ mod tests {
         // original 7-device pipeline: report order no longer coincides
         // with device id, and neither the critical-device selection nor
         // the conservation bookkeeping may index reports by position.
-        use mario_ir::DeviceTelemetry;
+        use mario_ir::{DeviceReport, DeviceTelemetry};
         let mk = |id: u32, clock: Nanos, ckpt: Nanos| {
             let mut telemetry = DeviceTelemetry::new(DeviceId(id));
             telemetry.classes.compute_ns = clock - ckpt;
             telemetry.classes.ckpt_sync_ns = ckpt;
             telemetry.peak_mem = 10 + id as u64;
-            DeviceReport {
+            let report = DeviceReport {
                 clock,
-                peak_mem: 10 + id as u64,
-                leaked: 0,
-                timeline: Vec::new(),
-                absorbed: Vec::new(),
                 last_checkpoint: 0,
                 telemetry,
                 link_sends: HashMap::new(),
                 link_recv_wait: HashMap::new(),
+                timeline: Vec::new(),
                 spans: Vec::new(),
-            }
+            };
+            (report, Vec::new())
         };
         let ckpts = CkptBoard::new(7);
         ckpts.record_paid(DeviceId(1), 40);

@@ -43,7 +43,7 @@ pub use serving::simulate_serving;
 pub use simulator::{
     memory_series, simulate, simulate_memory, simulate_timeline, simulate_timeline_ckpt,
     simulate_timeline_iters, simulate_timeline_serving, simulate_timeline_startup,
-    simulate_timeline_with, MemReport, MemSeries, SimError, SimEvent, SimOptions, SimReport,
+    simulate_timeline_with, MemReport, MemSeries, SimError, SimOptions, SimReport,
     SimTimeline,
 };
 pub use trace::{

@@ -7,7 +7,7 @@ pub use memsim::{memory_series, simulate_memory, MemReport, MemSeries, OomAt};
 pub use timeline::{
     simulate_timeline, simulate_timeline_ckpt, simulate_timeline_iters, simulate_timeline_serving,
     simulate_timeline_startup,
-    simulate_timeline_with, SimError, SimEvent, SimTimeline,
+    simulate_timeline_with, SimError, SimTimeline,
 };
 
 use mario_ir::{CostModel, Schedule};

@@ -21,8 +21,7 @@
 
 use crate::critpath::CritReport;
 use crate::simulator::{memory_series, SimTimeline};
-use mario_cluster::TimelineEvent;
-use mario_ir::{CostModel, DeviceId, Nanos, PartId, Schedule, SpanGraph};
+use mario_ir::{CostModel, DeviceId, Nanos, PartId, Schedule, SpanGraph, TimelineEvent};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// One trace event, format-agnostic.
@@ -439,24 +438,25 @@ pub fn rich_chrome_trace_annotated<'a>(
     w.finish()
 }
 
+impl<'a> From<&'a TimelineEvent> for TraceEvent<'a> {
+    fn from(e: &'a TimelineEvent) -> Self {
+        TraceEvent {
+            device: e.device.0,
+            name: &e.instr,
+            start: e.start,
+            end: e.end,
+        }
+    }
+}
+
 /// Exports a simulated timeline.
 pub fn sim_to_chrome_trace(t: &SimTimeline) -> String {
-    to_chrome_trace(t.events.iter().map(|e| TraceEvent {
-        device: e.device.0,
-        name: &e.instr,
-        start: e.start,
-        end: e.end,
-    }))
+    emu_to_chrome_trace(&t.events)
 }
 
 /// Exports an emulated timeline (requires `record_timeline: true`).
 pub fn emu_to_chrome_trace(events: &[TimelineEvent]) -> String {
-    to_chrome_trace(events.iter().map(|e| TraceEvent {
-        device: e.device.0,
-        name: &e.instr,
-        start: e.start,
-        end: e.end,
-    }))
+    to_chrome_trace(events.iter().map(TraceEvent::from))
 }
 
 /// Exports a simulated timeline with flow arrows, counter tracks and
@@ -466,17 +466,7 @@ pub fn sim_to_chrome_trace_rich(
     schedule: &Schedule,
     cost: &dyn CostModel,
 ) -> String {
-    let events: Vec<TraceEvent<'_>> = t
-        .events
-        .iter()
-        .map(|e| TraceEvent {
-            device: e.device.0,
-            name: &e.instr,
-            start: e.start,
-            end: e.end,
-        })
-        .collect();
-    rich_chrome_trace(&events, schedule, cost)
+    emu_to_chrome_trace_rich(&t.events, schedule, cost)
 }
 
 /// Exports a simulated timeline with the causal overlay: everything
@@ -490,16 +480,7 @@ pub fn sim_to_chrome_trace_annotated(
     report: &CritReport,
     completions: Option<&[Option<Nanos>]>,
 ) -> String {
-    let events: Vec<TraceEvent<'_>> = t
-        .events
-        .iter()
-        .map(|e| TraceEvent {
-            device: e.device.0,
-            name: &e.instr,
-            start: e.start,
-            end: e.end,
-        })
-        .collect();
+    let events: Vec<TraceEvent<'_>> = t.events.iter().map(TraceEvent::from).collect();
     rich_chrome_trace_annotated(&events, schedule, cost, Some((&t.spans, report)), completions)
 }
 
@@ -511,15 +492,7 @@ pub fn emu_to_chrome_trace_rich(
     schedule: &Schedule,
     cost: &dyn CostModel,
 ) -> String {
-    let events: Vec<TraceEvent<'_>> = events
-        .iter()
-        .map(|e| TraceEvent {
-            device: e.device.0,
-            name: &e.instr,
-            start: e.start,
-            end: e.end,
-        })
-        .collect();
+    let events: Vec<TraceEvent<'_>> = events.iter().map(TraceEvent::from).collect();
     rich_chrome_trace(&events, schedule, cost)
 }
 

@@ -27,8 +27,10 @@
 //!   checkpoint writes with explicit time and memory cost) the cluster
 //!   emulator charges and its recovery loop resumes from;
 //! * [`telemetry`] — the unified time-class flight recorder (per-device
-//!   time breakdowns, per-link transfer statistics) populated with
-//!   identical arithmetic by the simulator and the emulator;
+//!   time breakdowns, per-link transfer statistics);
+//! * [`device`] — the per-device execution core (clock, time classes,
+//!   checkpoint chunk drain, recorders) that the DP simulator and both
+//!   emulator backends drive, so they agree by construction;
 //! * [`validate`] / [`exec`] — structural validation plus symbolic
 //!   execution proving schedules deadlock-free under blocking p2p.
 
@@ -36,6 +38,7 @@
 
 pub mod checkpoint;
 pub mod cost;
+pub mod device;
 pub mod exec;
 pub mod ids;
 pub mod instr;
@@ -52,6 +55,9 @@ pub mod validate;
 
 pub use checkpoint::{CheckpointPolicy, ShardedWrite};
 pub use cost::{ComputeKind, CostModel, Nanos, UnitCost};
+pub use device::{
+    merge_reports, CkptBoard, DeviceCore, DeviceReport, MergedRun, TimelineEvent, Work,
+};
 pub use exec::{check_executable, min_channel_capacity, ExecError};
 pub use ids::{DeviceId, MicroId, PartId, StageId};
 pub use instr::{Instr, InstrKind, InstrTag};
