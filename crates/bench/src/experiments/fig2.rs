@@ -39,10 +39,8 @@ fn t_units(s: &Schedule, cost: &UnitCost) -> u64 {
 }
 
 fn gantt(s: &Schedule, cost: &UnitCost) -> String {
-    render_ascii(
-        &simulate_timeline(s, cost, 1).unwrap(),
-        VizOptions::default(),
-    )
+    let t = simulate_timeline(s, cost, 1).unwrap();
+    render_ascii(s, &t.spans, VizOptions::default())
 }
 
 /// Reproduces the five steps on a 4-stage pipeline with 4 micro-batches.

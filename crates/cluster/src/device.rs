@@ -221,7 +221,7 @@ impl<'a> Device<'a> {
         Self {
             core: DeviceCore::new(device, ledger, startup_ns, env.ckpts)
                 .with_checkpoint(cfg.checkpoint, env.cost)
-                .recording(cfg.record_timeline, cfg.record_spans),
+                .recording(cfg.record_spans),
             program: env.schedule.program(device),
             env,
             rng: StdRng::seed_from_u64(
@@ -356,7 +356,7 @@ impl<'a> Device<'a> {
                     Some(stall @ FaultKind::LinkStall { .. }) => {
                         self.absorb(stall, "packet dropped");
                         self.apply_mem(&instr)?;
-                        self.complete(&instr);
+                        self.complete();
                         return Ok(None);
                     }
                     Some(f @ FaultKind::LinkDelay { extra_ns, .. }) => {
@@ -383,7 +383,7 @@ impl<'a> Device<'a> {
             InstrKind::AllReduce => self.core.busy(Work::AllReduce, cost.allreduce_time(me)),
             InstrKind::OptimizerStep => self.core.busy(Work::Optimizer, cost.optimizer_time(me)),
         }
-        self.complete(&instr);
+        self.complete();
         Ok(None)
     }
 
@@ -396,7 +396,7 @@ impl<'a> Device<'a> {
         self.core.sent(peer, freed, bytes, occupancy);
         let instr = self.program.instrs()[self.pc];
         self.apply_mem(&instr)?;
-        self.complete(&instr);
+        self.complete();
         Ok(())
     }
 
@@ -407,8 +407,7 @@ impl<'a> Device<'a> {
             unreachable!("no recv pending");
         };
         let arrival = self.core.received(peer, sent_at, wire_ns);
-        let instr = self.program.instrs()[self.pc];
-        self.complete(&instr);
+        self.complete();
         arrival
     }
 
@@ -472,8 +471,8 @@ impl<'a> Device<'a> {
         (report, self.absorbed)
     }
 
-    fn complete(&mut self, instr: &Instr) {
-        self.core.end(instr, self.iteration, self.pc);
+    fn complete(&mut self) {
+        self.core.end(self.iteration, self.pc);
         self.pc += 1;
     }
 

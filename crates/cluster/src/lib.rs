@@ -41,7 +41,7 @@ pub use event::{
     run_event, run_event_serving, run_event_with_faults, run_event_with_faults_startup,
 };
 pub use faults::{FaultGroup, FaultKind, FaultPlan, FaultReport};
-pub use mario_ir::{CkptBoard, TimelineEvent};
+pub use mario_ir::CkptBoard;
 pub use runner::{
     effective_watchdog, run, run_serving, run_with_elastic_recovery, run_with_faults,
     run_with_faults_startup, run_with_recovery, ElasticRun, EmulatorBackend, EmulatorConfig,

@@ -19,7 +19,7 @@ use crate::link::{link, RecvHalf, SendHalf};
 use mario_ir::exec::MsgClass;
 use mario_ir::{
     merge_reports, CheckpointPolicy, CkptBoard, CostModel, DeviceId, Nanos, PartId, Schedule,
-    SpanGraph, Telemetry, TimelineEvent,
+    SpanGraph, Telemetry,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -65,8 +65,6 @@ pub struct EmulatorConfig {
     pub seed: u64,
     /// Per-device memory capacity in bytes (None disables OOM checking).
     pub mem_capacity: Option<u64>,
-    /// Record a full per-instruction timeline.
-    pub record_timeline: bool,
     /// Record the executed span graph ([`mario_ir::SpanGraph`]) — the
     /// input to critical-path analysis. Bit-identical across both
     /// backends and the DP simulator on a zero-jitter run.
@@ -95,7 +93,6 @@ impl Default for EmulatorConfig {
             straggler_spread: 0.0,
             seed: 42,
             mem_capacity: None,
-            record_timeline: false,
             record_spans: false,
             checkpoint: None,
             watchdog: Duration::from_secs(2),
@@ -148,8 +145,6 @@ pub struct RunReport {
     pub device_clocks: Vec<Nanos>,
     /// Peak memory footprint per device, bytes.
     pub peak_mem: Vec<u64>,
-    /// Merged instruction timeline (empty unless recording was enabled).
-    pub timeline: Vec<TimelineEvent>,
     /// Injected faults the run absorbed without failing (slowdowns,
     /// link delays), in device order.
     pub faults: Vec<FaultReport>,
@@ -434,7 +429,7 @@ fn run_threaded(
 /// Merges per-device outcomes into a [`RunReport`] (or the run's
 /// root-cause error). Shared by the thread and event backends so
 /// root-cause selection and critical-path arithmetic cannot drift between
-/// them; telemetry, timeline and span assembly go through
+/// them; telemetry and span assembly go through
 /// [`mario_ir::merge_reports`], shared with the DP simulator too.
 ///
 /// Reports may carry *any* device ids — they need not be contiguous or
@@ -501,7 +496,6 @@ pub(crate) fn settle_report(
         iter_ns: (ckpt_free_ns + iters / 2) / iters,
         device_clocks: run.device_clocks,
         peak_mem: run.telemetry.devices.iter().map(|d| d.peak_mem).collect(),
-        timeline: run.timeline,
         faults,
         last_checkpoint: cfg.checkpoint.map(|_| ckpts.cluster_saved()),
         ckpt_overhead_ns: ckpts.total_paid(),
@@ -919,21 +913,26 @@ mod tests {
     }
 
     #[test]
-    fn timeline_records_every_instruction() {
+    fn spans_record_every_instruction() {
         let s = generate(ScheduleConfig::new(mario_ir::SchemeKind::OneFOneB, 2, 2));
         let r = run(
             &s,
             &unit(),
             EmulatorConfig {
-                record_timeline: true,
+                record_spans: true,
                 ..Default::default()
             },
         )
         .unwrap();
-        assert_eq!(r.timeline.len(), s.total_instrs());
-        // Events are time-ordered.
-        for w in r.timeline.windows(2) {
-            assert!(w[0].start <= w[1].start);
+        let spans = r.spans.expect("spans recorded");
+        assert_eq!(spans.len(), s.total_instrs());
+        // Each device's spans follow its program, contiguous in time.
+        for (d, ops) in spans.per_device.iter().enumerate() {
+            assert!(ops.iter().enumerate().all(|(pc, op)| op.pc as usize == pc));
+            for w in ops.windows(2) {
+                assert_eq!(w[0].end, w[1].start);
+            }
+            assert_eq!(ops.last().map(|op| op.end), Some(r.device_clocks[d]));
         }
     }
 
@@ -966,7 +965,6 @@ mod tests {
             iter_ns: 2_000_000_000,
             device_clocks: vec![],
             peak_mem: vec![10, 30, 20],
-            timeline: vec![],
             faults: vec![],
             last_checkpoint: None,
             ckpt_overhead_ns: 0,
@@ -1497,7 +1495,6 @@ mod tests {
                 telemetry,
                 link_sends: HashMap::new(),
                 link_recv_wait: HashMap::new(),
-                timeline: Vec::new(),
                 spans: Vec::new(),
             };
             (report, Vec::new())

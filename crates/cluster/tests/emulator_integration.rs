@@ -65,22 +65,24 @@ fn different_seeds_give_different_straggler_maps() {
 }
 
 #[test]
-fn timeline_events_are_causally_consistent() {
+fn recorded_spans_are_causally_consistent() {
     let s = generate(ScheduleConfig::new(SchemeKind::Chimera, 4, 8));
     let r = run(
         &s,
         &unit(),
         EmulatorConfig {
             channel_capacity: 2,
-            record_timeline: true,
+            record_spans: true,
             ..Default::default()
         },
     )
     .unwrap();
-    // Per device, events are strictly ordered and contiguous in time.
+    let spans = r.spans.expect("spans recorded");
+    // Per device, spans are ordered and contiguous in time.
     for d in 0..4u32 {
         let mut last_end = 0;
-        for e in r.timeline.iter().filter(|e| e.device.0 == d) {
+        for e in &spans.per_device[d as usize] {
+            assert_eq!(e.device.0, d);
             assert!(e.start >= last_end, "overlap on d{d}: {e:?}");
             assert!(e.end >= e.start);
             last_end = e.end;

@@ -260,14 +260,9 @@ fn build_structure(schedule: &Schedule, g: &SpanGraph) -> Structure {
     let mut recvs: HashMap<ChanKey, Vec<NodeId>> = HashMap::new();
     let mut kind: Vec<Vec<NodeKind>> = Vec::with_capacity(g.per_device.len());
     for (d, spans) in g.per_device.iter().enumerate() {
-        let program = schedule.program(DeviceId(d as u32));
         let mut kinds = Vec::with_capacity(spans.len());
         for (i, s) in spans.iter().enumerate() {
-            let instr = if s.pc == CKPT_PC {
-                None
-            } else {
-                program.get(s.pc as usize)
-            };
+            let instr = schedule.instr_at(DeviceId(d as u32), s.pc);
             let k = match instr.map(|x| x.kind) {
                 Some(ik @ (InstrKind::SendAct { peer } | InstrKind::SendGrad { peer })) => {
                     let key = (d as u32, peer.0, class_of(&ik), instr.unwrap().part.0);
@@ -682,7 +677,7 @@ pub fn whatif(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>) -> WhatIfResul
                 }
                 match &st.kind[d][i] {
                     NodeKind::Local(_) => {
-                        let work = if s.pc == CKPT_PC {
+                        let work = if s.is_ckpt() {
                             if w.free_checkpoint {
                                 0
                             } else {
@@ -853,15 +848,13 @@ mod tests {
         let (s, t) = run(SchemeKind::OneFOneB, 4, 8);
         let report = analyze(&s, &t.spans);
         let last = 3usize;
-        let program = s.program(DeviceId(last as u32));
         let first_recv = t.spans.per_device[last]
             .iter()
             .position(|sp| {
-                sp.pc != CKPT_PC
-                    && matches!(
-                        program.get(sp.pc as usize).map(|x| x.kind),
-                        Some(InstrKind::RecvAct { .. })
-                    )
+                matches!(
+                    s.instr_at(sp.device, sp.pc).map(|x| x.kind),
+                    Some(InstrKind::RecvAct { .. })
+                )
             })
             .expect("last stage has a warmup recv");
         assert_eq!(report.slack[last][first_recv], 0);
@@ -877,22 +870,17 @@ mod tests {
         let report = analyze(&s, &t.spans);
         let mut checked = 0;
         for (d, spans) in t.spans.per_device.iter().enumerate() {
-            let program = s.program(DeviceId(d as u32));
+            let kind = |sp: OpSpan| s.instr_at(sp.device, sp.pc).map(|x| x.kind);
             for i in 0..spans.len().saturating_sub(1) {
                 let cur = spans[i];
                 let nxt = spans[i + 1];
-                let is_bw = cur.pc != CKPT_PC
-                    && matches!(
-                        program.get(cur.pc as usize).map(|x| x.kind),
-                        Some(InstrKind::BackwardWeight)
-                    );
+                let is_bw = matches!(kind(cur), Some(InstrKind::BackwardWeight));
                 let nxt_gap = nxt.end.saturating_sub(nxt.start + nxt.work_ns);
                 // Successor: a critical (slack-0) arrival-gated recv.
-                let nxt_recv = nxt.pc != CKPT_PC
-                    && matches!(
-                        program.get(nxt.pc as usize).map(|x| x.kind),
-                        Some(InstrKind::RecvAct { .. } | InstrKind::RecvGrad { .. })
-                    );
+                let nxt_recv = matches!(
+                    kind(nxt),
+                    Some(InstrKind::RecvAct { .. } | InstrKind::RecvGrad { .. })
+                );
                 if is_bw && nxt_recv && nxt_gap > 0 && report.slack[d][i + 1] == 0 {
                     assert_eq!(
                         report.slack[d][i], nxt_gap,

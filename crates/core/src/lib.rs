@@ -46,11 +46,7 @@ pub use simulator::{
     simulate_timeline_with, MemReport, MemSeries, SimError, SimOptions, SimReport,
     SimTimeline,
 };
-pub use trace::{
-    emu_to_chrome_trace, emu_to_chrome_trace_rich, rich_chrome_trace, rich_chrome_trace_annotated,
-    sim_to_chrome_trace, sim_to_chrome_trace_annotated, sim_to_chrome_trace_rich, to_chrome_trace,
-    TraceEvent, COUNTER_PID,
-};
+pub use trace::{chrome_trace, chrome_trace_rich, COUNTER_PID};
 pub use tuner::{
     admissible, daly_interval, effective_write_ns, evaluate, fit_fault_rate, fit_fault_rate_on,
     tune, tune_checkpoint_interval, Candidate, CandidateFailure, CheckpointTuning, Evaluation,

@@ -6,7 +6,7 @@
 //! *vertical* (p2p messages between devices, per Algorithm 1's virtual
 //! pipeline). The sweep and its channels are the simulator's own; what
 //! each firing does to a device (clock, time classes, checkpoint chunks,
-//! recorders) goes through the [`mario_ir::DeviceCore`] the cluster
+//! the span recorder) goes through the [`mario_ir::DeviceCore`] the cluster
 //! emulator (mario-cluster) drives too, so with zero jitter the two
 //! produce identical timelines, and the simulator-accuracy experiment
 //! (Fig. 10) isolates genuine modeling error (profiling regression,
@@ -24,7 +24,7 @@ use mario_ir::exec::MsgClass;
 use mario_ir::{
     merge_reports, CheckpointPolicy, CkptBoard, CostModel, DeviceCore, DeviceId, InstrKind,
     MemLedger, MemoryRules, Nanos, PerturbationProfile, Schedule, SpanGraph, Telemetry,
-    TimelineEvent, Work,
+    TimeClasses, Work,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -32,8 +32,6 @@ use std::collections::{HashMap, VecDeque};
 /// The simulated timeline of one iteration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimTimeline {
-    /// Every instruction with its start/end, ordered by (start, device).
-    pub events: Vec<TimelineEvent>,
     /// Final clock per device.
     pub device_clocks: Vec<Nanos>,
     /// Iteration makespan (max device clock).
@@ -58,8 +56,8 @@ pub struct SimTimeline {
     pub telemetry: Telemetry,
     /// The executed span graph (one [`mario_ir::OpSpan`] per instruction
     /// occurrence plus checkpoint boundaries), the input to
-    /// `mario_core::critpath::analyze` — bit-identical to a zero-jitter
-    /// emulator run captured with `record_spans`.
+    /// `mario_core::critpath::analyze` and every renderer — bit-identical
+    /// to a zero-jitter emulator run captured with `record_spans`.
     #[serde(default)]
     pub spans: SpanGraph,
 }
@@ -71,26 +69,13 @@ impl SimTimeline {
     }
 
     /// Total idle ("bubble") time summed over devices: device lifetime not
-    /// spent in compute. Communication waits count as bubble — they are
-    /// exactly the idle slots Mario hides recomputation in.
+    /// spent in compute. Communication waits and serving ingress-gate
+    /// waits count as bubble — they are exactly the idle slots Mario hides
+    /// recomputation in.
     pub fn bubble_ns(&self) -> Nanos {
-        let is_compute = |i: &str| {
-            i.starts_with('F')
-                || i.starts_with("cF")
-                || i.starts_with('B')
-                || (i.starts_with('R') && !i.starts_with("RA") && !i.starts_with("RG"))
-        };
-        let mut busy: HashMap<u32, Nanos> = HashMap::new();
-        for e in &self.events {
-            if is_compute(&e.instr) {
-                *busy.entry(e.device.0).or_default() += e.end - e.start;
-            }
-        }
-        self.device_clocks
-            .iter()
-            .enumerate()
-            .map(|(d, &c)| c.saturating_sub(busy.get(&(d as u32)).copied().unwrap_or(0)))
-            .sum()
+        // Each device's time classes sum to its clock.
+        let idle = |c: &TimeClasses| c.total() - c.compute_ns;
+        self.telemetry.devices.iter().map(|d| idle(&d.classes)).sum()
     }
 }
 
@@ -304,7 +289,7 @@ fn simulate_core(
             let mut core =
                 DeviceCore::new(dev, ledger, startup.get(d).copied().unwrap_or(0), &board)
                     .with_checkpoint(checkpoint, cost)
-                    .recording(true, true);
+                    .recording(true);
             // Every instruction, each iteration's boundary, the final drain.
             core.reserve((schedule.program(dev).len() + 1) * iterations as usize + 1);
             core
@@ -425,7 +410,7 @@ fn simulate_core(
                     ch.dequeues.push_back(core.received(peer, sent_at, wire));
                 }
             }
-            core.end(&instr, iter, lpc);
+            core.end(iter, lpc);
             gpc[d] += 1;
             fired = true;
             // Completing the program's last instruction is the
@@ -465,7 +450,6 @@ fn simulate_core(
     let run = merge_reports(reports, channel_capacity);
     Ok((
         SimTimeline {
-            events: run.timeline,
             device_clocks: run.device_clocks,
             total_ns: run.total_ns,
             ckpt_overhead_ns: board.total_paid(),
@@ -517,10 +501,10 @@ mod tests {
     }
 
     #[test]
-    fn event_count_matches_instruction_count() {
+    fn span_count_matches_instruction_count() {
         let s = generate(ScheduleConfig::new(SchemeKind::Chimera, 4, 8));
         let t = simulate_timeline(&s, &UnitCost::paper_grid(), 1).unwrap();
-        assert_eq!(t.events.len(), s.total_instrs());
+        assert_eq!(t.spans.len(), s.total_instrs());
     }
 
     #[test]
@@ -614,7 +598,7 @@ mod tests {
             3,
         )
         .unwrap();
-        assert_eq!(three.events.len(), 3 * s.total_instrs());
+        assert_eq!(three.spans.len(), 3 * s.total_instrs());
         // Back-to-back iterations overlap across the boundary, so the
         // makespan is at least 2 but at most 3 single-iteration spans.
         assert!(three.total_ns >= 2 * one.total_ns);
@@ -631,12 +615,12 @@ mod tests {
         assert_eq!(base.ckpt_overhead_ns, 0);
         let policy = mario_ir::CheckpointPolicy::every(2).with_write_ns(500);
         let ck = simulate_timeline_ckpt(&s, &cost, 1, &idle, 4, Some(policy)).unwrap();
-        // 2 writes of 500 ns on each of the 4 devices, plus a CKPT event
+        // 2 writes of 500 ns on each of the 4 devices, plus a CKPT span
         // per boundary per device.
         assert_eq!(ck.last_checkpoint, Some(4));
         assert_eq!(ck.ckpt_overhead_ns, 4 * 2 * 500);
         assert_eq!(ck.total_ns, base.total_ns + 2 * 500);
-        assert_eq!(ck.events.len(), base.events.len() + 4 * 2);
+        assert_eq!(ck.spans.len(), base.spans.len() + 4 * 2);
         // An async sharded policy over a zero-byte shard is free and
         // durable immediately.
         let sharded = mario_ir::CheckpointPolicy::every(2)
@@ -689,6 +673,24 @@ mod tests {
         // debug_assert in simulate_core checked it), and the first
         // stage's recv_blocked class carries the 4_000 ns wait.
         assert!(t.telemetry.devices[0].classes.recv_blocked_ns >= 4_000);
+    }
+
+    #[test]
+    fn serving_gate_wait_counts_as_bubble() {
+        let s = generate(ScheduleConfig::new(SchemeKind::ForwardOnly, 2, 3));
+        let (t, _) = simulate_timeline_serving(
+            &s,
+            &UnitCost::paper_grid(),
+            1,
+            &PerturbationProfile::identity(),
+            &[0, 5_000, 5_000],
+        )
+        .unwrap();
+        // Each device computes three 1 000 ns forwards. Device 0 idles
+        // 4 000 ns at the gate of micro 1 (clock 7 000); device 1 waits on
+        // recvs for the rest of its 8 000 ns.
+        assert_eq!(t.device_clocks, vec![7_000, 8_000]);
+        assert_eq!(t.bubble_ns(), (7_000 - 3_000) + (8_000 - 3_000));
     }
 
     #[test]

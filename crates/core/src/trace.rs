@@ -1,41 +1,31 @@
-//! Chrome-trace export: serialize a simulated or emulated timeline to the
-//! Trace Event Format consumed by `chrome://tracing` / Perfetto, giving an
-//! interactive alternative to the ASCII/SVG Gantt charts.
+//! Chrome-trace export: serialize a recorded run — its [`SpanGraph`], read
+//! through the schedule it executed — to the Trace Event Format consumed
+//! by `chrome://tracing` / Perfetto, giving an interactive alternative to
+//! the ASCII/SVG Gantt charts. The simulator and both emulators record the
+//! same span graph, so either exporter renders any executor's run.
 //!
 //! Two tiers of export:
 //!
-//! * [`to_chrome_trace`] — slices grouped into one process per pipeline
-//!   *part* (parsed from the `F0^1`-style instruction notation, so
-//!   Chimera's up and down pipelines land in separate process groups),
-//!   with `process_name`/`thread_name` metadata;
-//! * [`rich_chrome_trace`] (and the [`sim_to_chrome_trace_rich`] /
-//!   [`emu_to_chrome_trace_rich`] wrappers) — additionally emits flow
-//!   arrows connecting every send slice to its matching recv slice,
-//!   per-device live-memory counter tracks (replayed through the shared
-//!   `MemoryRules` ledger), per-link queue-depth counter tracks, and
-//!   schedule-aware thread names (`device N · stage S`).
+//! * [`chrome_trace`] — slices grouped into one process per pipeline
+//!   *part* (so Chimera's up and down pipelines land in separate process
+//!   groups), with `process_name`/`thread_name` metadata;
+//! * [`chrome_trace_rich`] — additionally emits flow arrows connecting
+//!   every send slice to its matching recv slice, per-device live-memory
+//!   counter tracks (replayed through the shared `MemoryRules` ledger),
+//!   per-link queue-depth counter tracks, schedule-aware thread names
+//!   (`device N · stage S`) and, optionally, the critical-path overlay and
+//!   serving completion markers.
 //!
-//! The writer is self-contained (no JSON dependency): the event fields are
-//! numbers plus instruction names from our own compact notation, so the
-//! only escaping required is for the quote/backslash/control classes.
+//! Slice names are the instructions' compact notation (`F3^0`, `SA3^0>d2`,
+//! `CKPT` for checkpoint writes), rendered only here, at output time. The
+//! writer is self-contained (no JSON dependency): the event fields are
+//! numbers plus names of our own, so the only escaping required is for
+//! the quote/backslash/control classes.
 
 use crate::critpath::CritReport;
-use crate::simulator::{memory_series, SimTimeline};
-use mario_ir::{CostModel, DeviceId, Nanos, PartId, Schedule, SpanGraph, TimelineEvent};
+use crate::simulator::memory_series;
+use mario_ir::{CostModel, DeviceId, Instr, InstrKind, Nanos, OpSpan, PartId, Schedule, SpanGraph};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-
-/// One trace event, format-agnostic.
-#[derive(Debug, Clone)]
-pub struct TraceEvent<'a> {
-    /// Row (device).
-    pub device: u32,
-    /// Display name.
-    pub name: &'a str,
-    /// Start, ns.
-    pub start: Nanos,
-    /// End, ns.
-    pub end: Nanos,
-}
 
 /// The synthetic process id counter tracks are parented under, so memory
 /// and link-depth series render as one "counters" group instead of being
@@ -53,70 +43,57 @@ fn escape(s: &str, out: &mut String) {
     }
 }
 
-fn category(name: &str) -> &'static str {
-    if name.starts_with("cF") {
-        "ckpt-forward"
-    } else if name.starts_with('F') {
-        "forward"
-    } else if name.starts_with("Bi") {
-        "backward-input"
-    } else if name.starts_with("Bw") {
-        "backward-weight"
-    } else if name.starts_with('B') {
-        "backward"
-    } else if name.starts_with("RA") || name.starts_with("RG") {
-        "recv"
-    } else if name.starts_with('R') {
-        "recompute"
-    } else if name.starts_with("SA") || name.starts_with("SG") {
-        "send"
-    } else {
-        "other"
+/// The slice category of an instruction (`None`: a checkpoint write).
+fn category(kind: Option<InstrKind>) -> &'static str {
+    match kind {
+        Some(InstrKind::Forward { ckpt: true }) => "ckpt-forward",
+        Some(InstrKind::Forward { ckpt: false }) => "forward",
+        Some(InstrKind::Backward) => "backward",
+        Some(InstrKind::BackwardInput) => "backward-input",
+        Some(InstrKind::BackwardWeight) => "backward-weight",
+        Some(InstrKind::Recompute) => "recompute",
+        Some(InstrKind::SendAct { .. } | InstrKind::SendGrad { .. }) => "send",
+        Some(InstrKind::RecvAct { .. } | InstrKind::RecvGrad { .. }) => "recv",
+        _ => "other",
     }
 }
 
-/// The pipeline part encoded in the instruction notation (`F3^1` → 1),
-/// used as the Perfetto process id so each part renders as its own group.
-/// Part-free instructions (`AR`, `OS`, `CKPT`) and foreign names fall back
-/// to part 0.
-fn part_of(name: &str) -> u32 {
-    let Some(caret) = name.find('^') else {
-        return 0;
-    };
-    let digits: String = name[caret + 1..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().unwrap_or(0)
+/// One span resolved through the schedule: its index in its device's
+/// stream, the span, and its instruction (`None` for checkpoint writes).
+type Slice<'a> = (usize, &'a OpSpan, Option<&'a Instr>);
+
+/// Every span in `(start, device)` order, resolved through `schedule`.
+fn slices<'a>(schedule: &'a Schedule, spans: &'a SpanGraph) -> Vec<Slice<'a>> {
+    spans
+        .in_time_order()
+        .into_iter()
+        .map(|(i, s)| (i, s, schedule.instr_at(s.device, s.pc)))
+        .collect()
+}
+
+/// The process id a slice renders under: its pipeline part, so each part
+/// is its own group. `AR`, `OS` (part 0 by construction) and `CKPT` sit in
+/// part 0.
+fn pid_of(instr: Option<&Instr>) -> u32 {
+    instr.map_or(0, |i| i.part.0)
 }
 
 /// Identity of one logical transfer: `(activation?, micro, part, src,
-/// dst)`. A send and its matching recv parse to the same key; repeated
-/// iterations repeat keys and are paired FIFO.
+/// dst)`. A send and its matching recv share a key; repeated iterations
+/// repeat keys and are paired FIFO.
 type XferKey = (bool, u32, u32, u32, u32);
 
-fn xfer_key(device: u32, name: &str, send: bool) -> Option<XferKey> {
-    let (prefix_act, prefix_grad, sep) = if send {
-        ("SA", "SG", '>')
-    } else {
-        ("RA", "RG", '<')
-    };
-    let act = if name.starts_with(prefix_act) {
-        true
-    } else if name.starts_with(prefix_grad) {
-        false
-    } else {
-        return None;
-    };
-    let (mp, peer) = name[2..].split_once(sep)?;
-    let (m, p) = mp.split_once('^')?;
-    let peer: u32 = peer.strip_prefix('d')?.parse().ok()?;
-    let (m, p) = (m.parse().ok()?, p.parse().ok()?);
-    Some(if send {
-        (act, m, p, device, peer)
-    } else {
-        (act, m, p, peer, device)
-    })
+/// `(is_send, key)` of a p2p instruction executed on `device`.
+fn transfer(device: DeviceId, instr: Option<&Instr>) -> Option<(bool, XferKey)> {
+    let i = instr?;
+    let peer = i.kind.peer()?;
+    let send = i.kind.is_send();
+    let act = matches!(
+        i.kind,
+        InstrKind::SendAct { .. } | InstrKind::RecvAct { .. }
+    );
+    let (src, dst) = if send { (device, peer) } else { (peer, device) };
+    Some((send, (act, i.micro.0, i.part.0, src.0, dst.0)))
 }
 
 /// Incremental Trace Event Format writer.
@@ -143,33 +120,29 @@ impl Writer {
     /// A slice with optional causal annotation: `Some((on_path, slack))`
     /// stamps `args.cp` / `args.slack_ns`, and critical-path slices get a
     /// reserved color name so the path pops visually in the viewer.
-    fn slice_annotated(
-        &mut self,
-        pid: u32,
-        tid: u32,
-        name: &str,
-        start: Nanos,
-        end: Nanos,
-        annot: Option<(bool, Nanos)>,
-    ) {
+    fn slice(&mut self, s: &OpSpan, instr: Option<&Instr>, annot: Option<(bool, Nanos)>) {
+        let (pid, tid) = (pid_of(instr), s.device.0);
         self.open();
-        self.out
-            .push_str(&format!("{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"name\":\""));
-        escape(name, &mut self.out);
+        self.out.push_str(&format!(
+            "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"name\":\""
+        ));
+        escape(
+            &instr.map_or_else(|| "CKPT".to_string(), Instr::to_string),
+            &mut self.out,
+        );
         self.out.push_str("\",\"cat\":\"");
-        self.out.push_str(category(name));
+        self.out.push_str(category(instr.map(|i| i.kind)));
         self.out.push_str(&format!(
             "\",\"ts\":{:.3},\"dur\":{:.3}",
-            start as f64 / 1e3,
-            (end - start) as f64 / 1e3
+            s.start as f64 / 1e3,
+            s.duration() as f64 / 1e3
         ));
         if let Some((cp, slack)) = annot {
             if cp {
                 self.out.push_str(",\"cname\":\"terrible\"");
             }
-            self.out.push_str(&format!(
-                ",\"args\":{{\"cp\":{cp},\"slack_ns\":{slack}}}"
-            ));
+            self.out
+                .push_str(&format!(",\"args\":{{\"cp\":{cp},\"slack_ns\":{slack}}}"));
         }
         self.out.push('}');
     }
@@ -177,8 +150,9 @@ impl Writer {
     /// An instant marker (`ph: i`), e.g. a serving completion.
     fn instant(&mut self, pid: u32, tid: u32, name: &str, ts: Nanos) {
         self.open();
-        self.out
-            .push_str(&format!("{{\"ph\":\"i\",\"s\":\"g\",\"pid\":{pid},\"tid\":{tid},\"name\":\""));
+        self.out.push_str(&format!(
+            "{{\"ph\":\"i\",\"s\":\"g\",\"pid\":{pid},\"tid\":{tid},\"name\":\""
+        ));
         escape(name, &mut self.out);
         self.out.push_str(&format!(
             "\",\"cat\":\"serving\",\"ts\":{:.3}}}",
@@ -193,14 +167,16 @@ impl Writer {
         if let Some(tid) = tid {
             self.out.push_str(&format!(",\"tid\":{tid}"));
         }
-        self.out.push_str(&format!(",\"name\":\"{kind}\",\"args\":{{\"name\":\""));
+        self.out
+            .push_str(&format!(",\"name\":\"{kind}\",\"args\":{{\"name\":\""));
         escape(name, &mut self.out);
         self.out.push_str("\"}}");
     }
 
     fn counter(&mut self, pid: u32, name: &str, ts: Nanos, series: &str, value: u64) {
         self.open();
-        self.out.push_str(&format!("{{\"ph\":\"C\",\"pid\":{pid},\"name\":\""));
+        self.out
+            .push_str(&format!("{{\"ph\":\"C\",\"pid\":{pid},\"name\":\""));
         escape(name, &mut self.out);
         self.out.push_str(&format!(
             "\",\"ts\":{:.3},\"args\":{{\"{series}\":{value}}}}}",
@@ -232,37 +208,21 @@ impl Writer {
     }
 }
 
-/// Emits slices plus the process/thread naming metadata. Thread names come
-/// from `thread_name(part, device)`.
-fn write_slices<'a>(
+/// Emits slices — annotated from `crit` when given — plus the
+/// process/thread naming metadata. Thread names come from
+/// `thread_name(part, device)`.
+fn write_slices(
     w: &mut Writer,
-    events: &[TraceEvent<'a>],
+    slices: &[Slice<'_>],
     thread_name: impl Fn(u32, u32) -> String,
-) {
-    write_slices_annotated(w, events, thread_name, &[]);
-}
-
-/// [`write_slices`] with per-event causal annotations (parallel to
-/// `events`; pass `&[]` for none).
-fn write_slices_annotated<'a>(
-    w: &mut Writer,
-    events: &[TraceEvent<'a>],
-    thread_name: impl Fn(u32, u32) -> String,
-    annots: &[Option<(bool, Nanos)>],
+    crit: Option<&CritReport>,
 ) {
     // (part → devices) seen, for the metadata pass.
     let mut groups: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
-    for (i, e) in events.iter().enumerate() {
-        let pid = part_of(e.name);
-        groups.entry(pid).or_default().insert(e.device);
-        w.slice_annotated(
-            pid,
-            e.device,
-            e.name,
-            e.start,
-            e.end,
-            annots.get(i).copied().flatten(),
-        );
+    for &(i, s, instr) in slices {
+        let d = s.device.index();
+        groups.entry(pid_of(instr)).or_default().insert(s.device.0);
+        w.slice(s, instr, crit.map(|r| (r.on_path[d][i], r.slack[d][i])));
     }
     for (pid, devices) in groups {
         w.metadata(pid, None, "process_name", &format!("pipeline part {pid}"));
@@ -272,16 +232,19 @@ fn write_slices_annotated<'a>(
     }
 }
 
-/// Renders events as a Chrome Trace Event Format JSON document
+/// Renders a recorded run as a Chrome Trace Event Format JSON document
 /// (`displayTimeUnit: ns`; durations are emitted in microseconds as the
 /// format requires). Slices are grouped into one process per pipeline
-/// part — Chimera's two pipelines get separate groups instead of the
-/// historical constant `pid 0` — and every process/thread carries naming
-/// metadata.
-pub fn to_chrome_trace<'a>(events: impl IntoIterator<Item = TraceEvent<'a>>) -> String {
-    let events: Vec<TraceEvent<'a>> = events.into_iter().collect();
+/// part — Chimera's two pipelines get separate groups — and every
+/// process/thread carries naming metadata.
+pub fn chrome_trace(schedule: &Schedule, spans: &SpanGraph) -> String {
     let mut w = Writer::new();
-    write_slices(&mut w, &events, |_, d| format!("device {d}"));
+    write_slices(
+        &mut w,
+        &slices(schedule, spans),
+        |_, d| format!("device {d}"),
+        None,
+    );
     w.finish()
 }
 
@@ -289,81 +252,46 @@ pub fn to_chrome_trace<'a>(events: impl IntoIterator<Item = TraceEvent<'a>>) -> 
 /// `device N · stage S`, the stage resolved through the schedule's
 /// virtual-pipeline topology), flow arrows binding each send to the recv
 /// that consumes its payload (paired FIFO per logical transfer, so
-/// multi-iteration timelines pair correctly), a live-memory counter track
-/// per device (the schedule replayed through the shared `MemoryRules`
-/// ledger — the same arithmetic both executors charge), and a queue-depth
-/// counter track per directed link (+1 when a send completes, −1 when the
-/// matching recv drains it). Counter tracks live under the synthetic
+/// multi-iteration runs pair correctly), a live-memory counter track per
+/// device (the schedule replayed through the shared `MemoryRules` ledger —
+/// the same arithmetic every executor charges), and a queue-depth counter
+/// track per directed link (+1 when a send completes, −1 when the matching
+/// recv drains it). Counter tracks live under the synthetic
 /// [`COUNTER_PID`] process.
 ///
-/// Memory counters replay the fault-free program, so on a faulted
-/// emulator timeline they describe the schedule's intended footprint, not
-/// the truncated run.
-pub fn rich_chrome_trace<'a>(
-    events: &[TraceEvent<'a>],
-    schedule: &Schedule,
-    cost: &dyn CostModel,
-) -> String {
-    rich_chrome_trace_annotated(events, schedule, cost, None, None)
-}
-
-/// [`rich_chrome_trace`] with causal overlays.
+/// Optional overlays:
 ///
-/// * `crit` — the recorded span graph and its [`CritReport`]: every slice
-///   that matches a recorded span gets `args.cp` (on the critical path?)
-///   and `args.slack_ns` (how much it could slow before the makespan
-///   moves), and critical-path slices get a distinct reserved color.
-///   Slices are matched to spans by `(device, start, end)` extent, so the
-///   overlay works on both the simulator's and the emulators' timelines.
+/// * `crit` — the [`CritReport`] computed over `spans`: every slice gets
+///   `args.cp` (on the critical path?) and `args.slack_ns` (how much it
+///   could slow before the makespan moves), and critical-path slices get
+///   a distinct reserved color;
 /// * `completions` — serving completion times per micro-batch (the
 ///   ServeBoard record of a forward-only run): each lands as a global
 ///   instant marker at the moment the last stage finished that micro.
-pub fn rich_chrome_trace_annotated<'a>(
-    events: &[TraceEvent<'a>],
+///
+/// Memory counters replay the fault-free program, so on a faulted
+/// emulator recording they describe the schedule's intended footprint,
+/// not the truncated run.
+pub fn chrome_trace_rich(
     schedule: &Schedule,
     cost: &dyn CostModel,
-    crit: Option<(&SpanGraph, &CritReport)>,
+    spans: &SpanGraph,
+    crit: Option<&CritReport>,
     completions: Option<&[Option<Nanos>]>,
 ) -> String {
     let topo = &schedule.topology;
+    let slices = slices(schedule, spans);
     let mut w = Writer::new();
-    // Causal overlay: recorded spans keyed by extent, consumed FIFO so a
-    // repeated (device, start, end) — e.g. zero-length boundary markers —
-    // pairs in order.
-    let annots: Vec<Option<(bool, Nanos)>> = match crit {
-        Some((spans, report)) => {
-            let mut by_extent: HashMap<(u32, Nanos, Nanos), VecDeque<(usize, usize)>> =
-                HashMap::new();
-            for (d, ops) in spans.per_device.iter().enumerate() {
-                for (i, s) in ops.iter().enumerate() {
-                    by_extent
-                        .entry((s.device.0, s.start, s.end))
-                        .or_default()
-                        .push_back((d, i));
-                }
-            }
-            events
-                .iter()
-                .map(|e| {
-                    by_extent
-                        .get_mut(&(e.device, e.start, e.end))
-                        .and_then(VecDeque::pop_front)
-                        .map(|(d, i)| (report.on_path[d][i], report.slack[d][i]))
-                })
-                .collect()
-        }
-        None => Vec::new(),
-    };
-    write_slices_annotated(
+    write_slices(
         &mut w,
-        events,
+        &slices,
         |p, d| {
             format!(
                 "device {d} · stage {}",
                 topo.stage_of(DeviceId(d), PartId(p)).0
             )
         },
-        &annots,
+        crit,
     );
     // Serving completion markers: one instant per finished micro-batch.
     if let Some(done) = completions {
@@ -374,41 +302,42 @@ pub fn rich_chrome_trace_annotated<'a>(
         }
     }
 
-    // Flow arrows: sends queue their slice under the transfer key, recvs
+    // Flow arrows: sends queue their span under the transfer key, recvs
     // consume FIFO. An `s` event anchors at the send slice start and the
     // matching `f` at the recv slice end, so the arrow spans the whole
     // transfer even when backpressure stretches the send.
-    // Two passes because the event stream is start-ordered and a recv
-    // slice can *start* (begin waiting) before its send slice does: first
-    // queue every send under its key, then pair recvs FIFO — per key both
-    // sides come from a single device, so array order is program order.
-    let mut pending: HashMap<XferKey, VecDeque<&TraceEvent<'a>>> = HashMap::new();
+    // Two passes because the slices are start-ordered and a recv slice can
+    // *start* (begin waiting) before its send slice does: first queue every
+    // send under its key, then pair recvs FIFO — per key both sides come
+    // from a single device, so slice order is program order.
+    let mut pending: HashMap<XferKey, VecDeque<&OpSpan>> = HashMap::new();
     let mut next_id = 0u64;
     // Queue-depth deltas per directed link: +1 at send end, −1 at recv end.
     let mut depth: BTreeMap<(u32, u32), Vec<(Nanos, i64)>> = BTreeMap::new();
-    for e in events {
-        if let Some(key) = xfer_key(e.device, e.name, true) {
-            pending.entry(key).or_default().push_back(e);
-            depth.entry((key.3, key.4)).or_default().push((e.end, 1));
+    for &(_, s, instr) in &slices {
+        if let Some((true, key)) = transfer(s.device, instr) {
+            pending.entry(key).or_default().push_back(s);
+            depth.entry((key.3, key.4)).or_default().push((s.end, 1));
         }
     }
-    for e in events {
-        if let Some(key) = xfer_key(e.device, e.name, false) {
+    for &(_, s, instr) in &slices {
+        if let Some((false, key)) = transfer(s.device, instr) {
+            // Both ends of a transfer render under its part.
+            let part = key.2;
             if let Some(send) = pending.get_mut(&key).and_then(VecDeque::pop_front) {
                 w.flow(
                     next_id,
-                    (part_of(send.name), send.device, send.start),
-                    (part_of(e.name), e.device, e.end),
+                    (part, send.device.0, send.start),
+                    (part, s.device.0, s.end),
                 );
                 next_id += 1;
             }
-            depth.entry((key.3, key.4)).or_default().push((e.end, -1));
+            depth.entry((key.3, key.4)).or_default().push((s.end, -1));
         }
     }
 
-    // Live-memory counters: each device's non-checkpoint events follow its
-    // program order, so the per-instruction ledger series maps onto event
-    // end times (cycled per iteration for multi-iteration timelines).
+    // Live-memory counters: the ledger level after each executed
+    // instruction, in the device's execution order.
     w.metadata(COUNTER_PID, None, "process_name", "counters");
     for series in memory_series(schedule, cost) {
         let d = series.device;
@@ -416,10 +345,18 @@ pub fn rich_chrome_trace_annotated<'a>(
             continue;
         }
         let name = format!("mem d{}", d.0);
-        let mut i = 0usize;
-        for e in events.iter().filter(|e| e.device == d.0 && e.name != "CKPT") {
-            w.counter(COUNTER_PID, &name, e.end, "bytes", series.points[i].1);
-            i = (i + 1) % series.points.len();
+        let ops = spans
+            .per_device
+            .get(d.index())
+            .map_or(&[][..], Vec::as_slice);
+        for s in ops.iter().filter(|s| !s.is_ckpt()) {
+            w.counter(
+                COUNTER_PID,
+                &name,
+                s.end,
+                "bytes",
+                series.points[s.pc as usize].1,
+            );
         }
     }
 
@@ -438,64 +375,6 @@ pub fn rich_chrome_trace_annotated<'a>(
     w.finish()
 }
 
-impl<'a> From<&'a TimelineEvent> for TraceEvent<'a> {
-    fn from(e: &'a TimelineEvent) -> Self {
-        TraceEvent {
-            device: e.device.0,
-            name: &e.instr,
-            start: e.start,
-            end: e.end,
-        }
-    }
-}
-
-/// Exports a simulated timeline.
-pub fn sim_to_chrome_trace(t: &SimTimeline) -> String {
-    emu_to_chrome_trace(&t.events)
-}
-
-/// Exports an emulated timeline (requires `record_timeline: true`).
-pub fn emu_to_chrome_trace(events: &[TimelineEvent]) -> String {
-    to_chrome_trace(events.iter().map(TraceEvent::from))
-}
-
-/// Exports a simulated timeline with flow arrows, counter tracks and
-/// schedule-aware thread names (see [`rich_chrome_trace`]).
-pub fn sim_to_chrome_trace_rich(
-    t: &SimTimeline,
-    schedule: &Schedule,
-    cost: &dyn CostModel,
-) -> String {
-    emu_to_chrome_trace_rich(&t.events, schedule, cost)
-}
-
-/// Exports a simulated timeline with the causal overlay: everything
-/// [`sim_to_chrome_trace_rich`] emits, plus per-slice `cp`/`slack_ns`
-/// annotations from `report` (computed over `t.spans`) and, for serving
-/// runs, per-micro completion markers.
-pub fn sim_to_chrome_trace_annotated(
-    t: &SimTimeline,
-    schedule: &Schedule,
-    cost: &dyn CostModel,
-    report: &CritReport,
-    completions: Option<&[Option<Nanos>]>,
-) -> String {
-    let events: Vec<TraceEvent<'_>> = t.events.iter().map(TraceEvent::from).collect();
-    rich_chrome_trace_annotated(&events, schedule, cost, Some((&t.spans, report)), completions)
-}
-
-/// Exports an emulated timeline with flow arrows, counter tracks and
-/// schedule-aware thread names (requires `record_timeline: true`; see
-/// [`rich_chrome_trace`]).
-pub fn emu_to_chrome_trace_rich(
-    events: &[TimelineEvent],
-    schedule: &Schedule,
-    cost: &dyn CostModel,
-) -> String {
-    let events: Vec<TraceEvent<'_>> = events.iter().map(TraceEvent::from).collect();
-    rich_chrome_trace(&events, schedule, cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,14 +385,27 @@ mod tests {
     fn trace() -> String {
         let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 3, 3));
         let t = simulate_timeline(&s, &UnitCost::paper_grid(), 1).unwrap();
-        sim_to_chrome_trace(&t)
+        chrome_trace(&s, &t.spans)
+    }
+
+    /// Sends recorded in a run, resolved through the schedule.
+    fn sends(s: &Schedule, spans: &SpanGraph) -> usize {
+        spans
+            .per_device
+            .iter()
+            .flatten()
+            .filter(|sp| {
+                s.instr_at(sp.device, sp.pc)
+                    .is_some_and(|i| i.kind.is_send())
+            })
+            .count()
     }
 
     #[test]
     fn emits_one_event_per_instruction() {
         let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 3, 3));
         let t = simulate_timeline(&s, &UnitCost::paper_grid(), 1).unwrap();
-        let json = sim_to_chrome_trace(&t);
+        let json = chrome_trace(&s, &t.spans);
         assert_eq!(json.matches("\"ph\":\"X\"").count(), s.total_instrs());
     }
 
@@ -532,30 +424,30 @@ mod tests {
 
     #[test]
     fn escaping_handles_hostile_names() {
-        let ev = [TraceEvent {
-            device: 0,
-            name: "we\"ird\\na\nme",
-            start: 0,
-            end: 1,
-        }];
-        let json = to_chrome_trace(ev);
-        assert!(json.contains("we\\\"ird\\\\na\\u000ame"));
+        let mut out = String::new();
+        escape("we\"ird\\na\nme", &mut out);
+        assert_eq!(out, "we\\\"ird\\\\na\\u000ame");
     }
 
     #[test]
     fn categories_cover_every_notation() {
-        for (name, cat) in [
-            ("F0^0", "forward"),
-            ("cF0^0", "ckpt-forward"),
-            ("B0^0", "backward"),
-            ("Bi0^0", "backward-input"),
-            ("Bw0^0", "backward-weight"),
-            ("R0^0", "recompute"),
-            ("SA0^0>d1", "send"),
-            ("RG0^0<d1", "recv"),
-            ("AR", "other"),
+        let d = DeviceId(1);
+        for (instr, cat) in [
+            (Some(Instr::forward(0u32, 0u32)), "forward"),
+            (Some(Instr::ckpt_forward(0u32, 0u32)), "ckpt-forward"),
+            (Some(Instr::backward(0u32, 0u32)), "backward"),
+            (Some(Instr::backward_input(0u32, 0u32)), "backward-input"),
+            (Some(Instr::backward_weight(0u32, 0u32)), "backward-weight"),
+            (Some(Instr::recompute(0u32, 0u32)), "recompute"),
+            (Some(Instr::send_act(0u32, 0u32, d)), "send"),
+            (Some(Instr::send_grad(0u32, 0u32, d)), "send"),
+            (Some(Instr::recv_act(0u32, 0u32, d)), "recv"),
+            (Some(Instr::recv_grad(0u32, 0u32, d)), "recv"),
+            (Some(Instr::all_reduce()), "other"),
+            (Some(Instr::optimizer_step()), "other"),
+            (None, "other"),
         ] {
-            assert_eq!(category(name), cat, "{name}");
+            assert_eq!(category(instr.map(|i| i.kind)), cat, "{instr:?}");
         }
     }
 
@@ -566,12 +458,12 @@ mod tests {
             &s,
             &UnitCost::paper_grid(),
             mario_cluster::EmulatorConfig {
-                record_timeline: true,
+                record_spans: true,
                 ..Default::default()
             },
         )
         .unwrap();
-        let json = emu_to_chrome_trace(&r.timeline);
+        let json = chrome_trace(&s, r.spans.as_ref().unwrap());
         assert_eq!(json.matches("\"ph\":\"X\"").count(), s.total_instrs());
     }
 
@@ -590,7 +482,7 @@ mod tests {
     fn chimera_parts_get_separate_process_groups() {
         let s = generate(ScheduleConfig::new(SchemeKind::Chimera, 2, 2));
         let t = simulate_timeline(&s, &UnitCost::paper_grid(), 2).unwrap();
-        let json = sim_to_chrome_trace(&t);
+        let json = chrome_trace(&s, &t.spans);
         // Both pipelines present, each with its own named process.
         assert!(json.contains("pipeline part 0"));
         assert!(json.contains("pipeline part 1"));
@@ -598,38 +490,12 @@ mod tests {
     }
 
     #[test]
-    fn part_parsing_handles_every_notation() {
-        assert_eq!(part_of("F3^1"), 1);
-        assert_eq!(part_of("SA0^12>d1"), 12);
-        assert_eq!(part_of("AR"), 0);
-        assert_eq!(part_of("CKPT"), 0);
-        assert_eq!(part_of("we^ird"), 0);
-    }
-
-    #[test]
-    fn transfer_keys_pair_sends_with_recvs() {
-        // d0 sends act (micro 0, part 1) to d2; d2 receives it.
-        assert_eq!(xfer_key(0, "SA0^1>d2", true), Some((true, 0, 1, 0, 2)));
-        assert_eq!(xfer_key(2, "RA0^1<d0", false), Some((true, 0, 1, 0, 2)));
-        // Gradients pair too, and directions are distinct keys.
-        assert_eq!(xfer_key(2, "SG0^0>d1", true), Some((false, 0, 0, 2, 1)));
-        assert_eq!(xfer_key(1, "RG0^0<d2", false), Some((false, 0, 0, 2, 1)));
-        // Non-transfers parse to nothing.
-        assert_eq!(xfer_key(0, "F0^0", true), None);
-        assert_eq!(xfer_key(0, "AR", false), None);
-    }
-
-    #[test]
     fn rich_trace_pairs_every_transfer_with_a_flow_arrow() {
         let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 3, 3));
         let cost = UnitCost::paper_grid();
         let t = simulate_timeline(&s, &cost, 1).unwrap();
-        let json = sim_to_chrome_trace_rich(&t, &s, &cost);
-        let sends = t
-            .events
-            .iter()
-            .filter(|e| e.instr.starts_with("SA") || e.instr.starts_with("SG"))
-            .count();
+        let json = chrome_trace_rich(&s, &cost, &t.spans, None, None);
+        let sends = sends(&s, &t.spans);
         assert!(sends > 0);
         assert_eq!(json.matches("\"ph\":\"s\"").count(), sends);
         assert_eq!(json.matches("\"ph\":\"f\"").count(), sends);
@@ -652,22 +518,19 @@ mod tests {
             &s,
             &cost,
             mario_cluster::EmulatorConfig {
-                record_timeline: true,
+                record_spans: true,
                 channel_capacity: 2,
                 ..Default::default()
             },
         )
         .unwrap();
-        let json = emu_to_chrome_trace_rich(&r.timeline, &s, &cost);
+        let spans = r.spans.as_ref().unwrap();
+        let json = chrome_trace_rich(&s, &cost, spans, None, None);
         // Chimera device 0 hosts stage 0 of part 0 and the last stage of
         // part 1 — the thread metadata reflects both.
         assert!(json.contains("device 0 · stage 0"));
         assert!(json.contains("pipeline part 1"));
-        let sends = r
-            .timeline
-            .iter()
-            .filter(|e| e.instr.starts_with("SA") || e.instr.starts_with("SG"))
-            .count();
+        let sends = sends(&s, spans);
         assert_eq!(json.matches("\"ph\":\"s\"").count(), sends);
         assert_eq!(json.matches("\"ph\":\"f\"").count(), sends);
     }
@@ -678,18 +541,13 @@ mod tests {
         let cost = UnitCost::paper_grid();
         let t = simulate_timeline(&s, &cost, 1).unwrap();
         let report = crate::critpath::analyze(&s, &t.spans);
-        let json = sim_to_chrome_trace_annotated(&t, &s, &cost, &report, None);
+        let json = chrome_trace_rich(&s, &cost, &t.spans, Some(&report), None);
         // Every instruction slice got an annotation, critical-path ones
         // carry the reserved color, and at least one off-path slice
         // reports nonzero slack.
-        let slices = t.events.len();
+        let slices = t.spans.len();
         assert_eq!(json.matches("\"cp\":").count(), slices);
-        let on_path: usize = report
-            .on_path
-            .iter()
-            .flatten()
-            .filter(|&&on| on)
-            .count();
+        let on_path: usize = report.on_path.iter().flatten().filter(|&&on| on).count();
         assert_eq!(json.matches("\"cname\":\"terrible\"").count(), on_path);
         assert!(json.contains("\"cp\":true"));
         assert!(json.matches("\"slack_ns\":0").count() >= on_path);
@@ -709,7 +567,7 @@ mod tests {
             simulate_timeline_serving(&s, &cost, 1, &PerturbationProfile::identity(), &release)
                 .unwrap();
         let report = crate::critpath::analyze(&s, &t.spans);
-        let json = sim_to_chrome_trace_annotated(&t, &s, &cost, &report, Some(&done));
+        let json = chrome_trace_rich(&s, &cost, &t.spans, Some(&report), Some(&done));
         let finished = done.iter().filter(|c| c.is_some()).count();
         assert_eq!(finished, 3);
         assert_eq!(json.matches("\"ph\":\"i\"").count(), finished);

@@ -1,10 +1,10 @@
 //! Pipeline visualization (paper §5.2 "Visualization", Fig. 5): render a
-//! simulated timeline as an ASCII Gantt chart or an SVG document, so users
-//! can inspect bubble distribution and checkpoint placement instead of
-//! staring at throughput numbers.
+//! recorded run as an ASCII Gantt chart or an SVG document, so users can
+//! inspect bubble distribution and checkpoint placement instead of
+//! staring at throughput numbers. Both read the run's [`SpanGraph`]
+//! through the schedule it executed.
 
-use crate::simulator::SimTimeline;
-use mario_ir::Nanos;
+use mario_ir::{InstrKind, Nanos, Schedule, SpanGraph};
 
 /// Rendering options.
 #[derive(Debug, Clone, Copy)]
@@ -24,65 +24,47 @@ impl Default for VizOptions {
     }
 }
 
-fn glyph(instr: &str, show_micro: bool) -> Option<char> {
-    // Events are rendered from their compact notation: F3^0, cF3^0, B3^0,
-    // R3^0; comm/collective events are zero-width in the unit grid and
-    // skipped.
-    let (class, rest) = if let Some(r) = instr.strip_prefix("cF") {
-        ('f', r)
-    } else if let Some(r) = instr.strip_prefix('F') {
-        ('F', r)
-    } else if let Some(r) = instr.strip_prefix("Bi") {
-        ('b', r)
-    } else if let Some(r) = instr.strip_prefix("Bw") {
-        ('w', r)
-    } else if let Some(r) = instr.strip_prefix('B') {
-        ('B', r)
-    } else if let Some(r) = instr.strip_prefix('R') {
-        if instr.starts_with("RA") || instr.starts_with("RG") {
-            return None;
-        }
-        ('R', r)
-    } else {
-        return None;
-    };
-    if show_micro {
-        let digit = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse::<u32>()
-            .ok()?;
-        Some(char::from_digit(digit % 10, 10).unwrap())
-    } else {
-        Some(class)
-    }
+/// The glyph and SVG fill of a drawn instruction. Only compute is drawn;
+/// communication, collectives and checkpoint writes are skipped.
+fn style(kind: InstrKind) -> Option<(char, &'static str)> {
+    Some(match kind {
+        InstrKind::Forward { ckpt: true } => ('f', "#7fb3d5"), // light blue
+        InstrKind::Forward { ckpt: false } => ('F', "#2e86c1"), // blue
+        InstrKind::BackwardInput => ('b', "#1e8449"),          // dark green
+        InstrKind::BackwardWeight => ('w', "#a9dfbf"),         // pale green
+        InstrKind::Backward => ('B', "#27ae60"),               // green
+        InstrKind::Recompute => ('R', "#e67e22"),              // orange
+        _ => return None,
+    })
 }
 
 /// Renders an ASCII Gantt chart: one row per device, `.` for bubbles.
-pub fn render_ascii(timeline: &SimTimeline, opts: VizOptions) -> String {
-    let devices = timeline.device_clocks.len();
-    let width = (timeline.total_ns / opts.ns_per_cell) as usize + 1;
-    let mut grid = vec![vec!['.'; width]; devices];
-    for e in &timeline.events {
-        let Some(g) = glyph(&e.instr, opts.show_micro_ids) else {
-            continue;
-        };
-        let s = (e.start / opts.ns_per_cell) as usize;
-        let t = (e.end / opts.ns_per_cell) as usize;
-        for cell in grid[e.device.index()].iter_mut().take(t.max(s + 1)).skip(s) {
-            *cell = g;
-        }
-    }
+pub fn render_ascii(schedule: &Schedule, spans: &SpanGraph, opts: VizOptions) -> String {
+    let width = (spans.makespan / opts.ns_per_cell) as usize + 1;
     let mut out = String::new();
-    for (d, row) in grid.iter().enumerate() {
+    for (d, ops) in spans.per_device.iter().enumerate() {
+        let mut row = vec!['.'; width];
+        for s in ops {
+            let Some(instr) = schedule.instr_at(s.device, s.pc) else {
+                continue;
+            };
+            let Some((class, _)) = style(instr.kind) else {
+                continue;
+            };
+            let g = if opts.show_micro_ids {
+                char::from_digit(instr.micro.0 % 10, 10).unwrap()
+            } else {
+                class
+            };
+            let start = (s.start / opts.ns_per_cell) as usize;
+            let end = (s.end / opts.ns_per_cell) as usize;
+            for cell in row.iter_mut().take(end.max(start + 1)).skip(start) {
+                *cell = g;
+            }
+        }
         out.push_str(&format!("d{d}: "));
         // Trim trailing idle cells.
-        let last = row
-            .iter()
-            .rposition(|&c| c != '.')
-            .map(|p| p + 1)
-            .unwrap_or(0);
+        let last = row.iter().rposition(|&c| c != '.').map_or(0, |p| p + 1);
         out.extend(row[..last].iter());
         out.push('\n');
     }
@@ -90,38 +72,26 @@ pub fn render_ascii(timeline: &SimTimeline, opts: VizOptions) -> String {
 }
 
 /// Renders a minimal SVG Gantt chart.
-pub fn render_svg(timeline: &SimTimeline, opts: VizOptions) -> String {
-    let devices = timeline.device_clocks.len();
+pub fn render_svg(schedule: &Schedule, spans: &SpanGraph, opts: VizOptions) -> String {
+    let devices = spans.per_device.len();
     let row_h = 22u64;
-    let width = timeline.total_ns / opts.ns_per_cell + 40;
+    let width = spans.makespan / opts.ns_per_cell + 40;
     let height = devices as u64 * row_h + 10;
-    let mut out = format!(
-        r#"<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">"#
-    );
-    for e in &timeline.events {
-        let color = if e.instr.starts_with("cF") {
-            "#7fb3d5" // checkpointed forward: light blue
-        } else if e.instr.starts_with('F') {
-            "#2e86c1" // forward: blue
-        } else if e.instr.starts_with("Bi") {
-            "#1e8449" // backward input half: dark green
-        } else if e.instr.starts_with("Bw") {
-            "#a9dfbf" // backward weight half: pale green
-        } else if e.instr.starts_with('B') {
-            "#27ae60" // backward: green
-        } else if e.instr.starts_with('R') && !e.instr.starts_with("RA") && !e.instr.starts_with("RG")
-        {
-            "#e67e22" // recompute: orange
-        } else {
+    let mut out =
+        format!(r#"<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">"#);
+    for (_, s) in spans.in_time_order() {
+        let Some(instr) = schedule.instr_at(s.device, s.pc) else {
             continue;
         };
-        let x = e.start / opts.ns_per_cell + 30;
-        let w = ((e.end - e.start) / opts.ns_per_cell).max(1);
-        let y = e.device.0 as u64 * row_h + 4;
+        let Some((_, color)) = style(instr.kind) else {
+            continue;
+        };
+        let x = s.start / opts.ns_per_cell + 30;
+        let w = (s.duration() / opts.ns_per_cell).max(1);
+        let y = s.device.0 as u64 * row_h + 4;
         out.push_str(&format!(
-            r##"<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{color}" stroke="#333" stroke-width="0.5"><title>{t}</title></rect>"##,
+            r##"<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{color}" stroke="#333" stroke-width="0.5"><title>{instr}</title></rect>"##,
             h = row_h - 6,
-            t = e.instr
         ));
     }
     for d in 0..devices {
@@ -141,14 +111,18 @@ mod tests {
     use mario_ir::{SchemeKind, UnitCost};
     use mario_schedules::{generate, ScheduleConfig};
 
-    fn timeline() -> SimTimeline {
-        let s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 3, 3));
-        simulate_timeline(&s, &UnitCost::paper_grid(), 1).unwrap()
+    fn ascii(s: &Schedule, opts: VizOptions) -> String {
+        let t = simulate_timeline(s, &UnitCost::paper_grid(), 1).unwrap();
+        render_ascii(s, &t.spans, opts)
+    }
+
+    fn one_f_one_b() -> Schedule {
+        generate(ScheduleConfig::new(SchemeKind::OneFOneB, 3, 3))
     }
 
     #[test]
     fn ascii_has_one_row_per_device() {
-        let a = render_ascii(&timeline(), VizOptions::default());
+        let a = ascii(&one_f_one_b(), VizOptions::default());
         assert_eq!(a.lines().count(), 3);
         assert!(a.contains('F'));
         assert!(a.contains('B'));
@@ -156,7 +130,7 @@ mod tests {
 
     #[test]
     fn last_device_starts_with_bubbles() {
-        let a = render_ascii(&timeline(), VizOptions::default());
+        let a = ascii(&one_f_one_b(), VizOptions::default());
         let last = a.lines().last().unwrap();
         // 1F1B: device 2 idles 2 cells before its first forward.
         assert!(last.starts_with("d2: ..F"), "{last}");
@@ -164,8 +138,8 @@ mod tests {
 
     #[test]
     fn micro_id_mode_uses_digits() {
-        let a = render_ascii(
-            &timeline(),
+        let a = ascii(
+            &one_f_one_b(),
             VizOptions {
                 show_micro_ids: true,
                 ..Default::default()
@@ -180,15 +154,16 @@ mod tests {
     fn checkpointed_timeline_shows_recomputes() {
         let mut s = generate(ScheduleConfig::new(SchemeKind::OneFOneB, 3, 3));
         crate::passes::apply_checkpoint(&mut s);
-        let t = simulate_timeline(&s, &UnitCost::paper_grid(), 1).unwrap();
-        let a = render_ascii(&t, VizOptions::default());
+        let a = ascii(&s, VizOptions::default());
         assert!(a.contains('R'), "{a}");
         assert!(a.contains('f'), "{a}");
     }
 
     #[test]
     fn svg_is_well_formed_enough() {
-        let svg = render_svg(&timeline(), VizOptions::default());
+        let s = one_f_one_b();
+        let t = simulate_timeline(&s, &UnitCost::paper_grid(), 1).unwrap();
+        let svg = render_svg(&s, &t.spans, VizOptions::default());
         assert!(svg.starts_with("<svg"));
         assert!(svg.ends_with("</svg>"));
         assert!(svg.matches("<rect").count() >= 9); // 3 devices × 3 F + B

@@ -11,11 +11,11 @@
 //! * idle gaps (a recv wait, a capacity-blocked send, a serving ingress
 //!   gate) and the async-checkpoint chunks that drain into them;
 //! * the end-of-iteration checkpoint boundary and the end-of-run drain;
-//! * per-link statistics and the timeline/span recorders;
+//! * per-link statistics and the span recorder;
 //! * [`DeviceCore::finish`], which checks Σ time classes == clock.
 //!
 //! [`merge_reports`] then assembles the per-device reports into run-level
-//! telemetry, timeline and span graph, again for every executor. With
+//! telemetry and span graph, again for every executor. With
 //! zero jitter the three executors therefore agree bit for bit by
 //! construction; the parity tests check the drivers, not copies.
 
@@ -27,22 +27,8 @@ use crate::ledger::{AllocKey, MemLedger, OomError};
 use crate::rules::MemoryRules;
 use crate::span::{OpSpan, SpanGraph, CKPT_PC};
 use crate::telemetry::{DeviceTelemetry, LinkSendStats, Telemetry};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
-/// One executed instruction with its virtual start/end times.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TimelineEvent {
-    /// The executing device.
-    pub device: DeviceId,
-    /// Rendered instruction (`CKPT` for checkpoint writes).
-    pub instr: String,
-    /// Virtual start time (ns).
-    pub start: Nanos,
-    /// Virtual end time (ns).
-    pub end: Nanos,
-}
 
 /// Shared scoreboard of completed checkpoint writes: each device records
 /// the number of iterations its latest checkpoint covers, and the
@@ -138,8 +124,6 @@ pub struct DeviceReport {
     pub link_sends: HashMap<DeviceId, LinkSendStats>,
     /// Total recv-wait time per sending peer, ns.
     pub link_recv_wait: HashMap<DeviceId, Nanos>,
-    /// Recorded events, if timeline recording was enabled.
-    pub timeline: Vec<TimelineEvent>,
     /// Executed spans (execution order), if span recording was enabled.
     pub spans: Vec<OpSpan>,
 }
@@ -168,8 +152,6 @@ pub struct DeviceCore<'a> {
     pending_iters: u32,
     link_sends: HashMap<DeviceId, LinkSendStats>,
     link_recv_wait: HashMap<DeviceId, Nanos>,
-    record_timeline: bool,
-    timeline: Vec<TimelineEvent>,
     record_spans: bool,
     spans: Vec<OpSpan>,
     /// The op in progress: its start, work and wire fields.
@@ -201,8 +183,6 @@ impl<'a> DeviceCore<'a> {
             pending_iters: 0,
             link_sends: HashMap::new(),
             link_recv_wait: HashMap::new(),
-            record_timeline: false,
-            timeline: Vec::new(),
             record_spans: false,
             spans: Vec::new(),
             op: OpSpan {
@@ -231,9 +211,8 @@ impl<'a> DeviceCore<'a> {
         self
     }
 
-    /// Turns the timeline and span recorders on or off.
-    pub fn recording(mut self, timeline: bool, spans: bool) -> Self {
-        self.record_timeline = timeline;
+    /// Turns the span recorder on or off.
+    pub fn recording(mut self, spans: bool) -> Self {
         self.record_spans = spans;
         self
     }
@@ -255,9 +234,6 @@ impl<'a> DeviceCore<'a> {
 
     /// Reserves recorder room for `ops` more ops.
     pub fn reserve(&mut self, ops: usize) {
-        if self.record_timeline {
-            self.timeline.reserve_exact(ops);
-        }
         if self.record_spans {
             self.spans.reserve_exact(ops);
         }
@@ -338,8 +314,8 @@ impl<'a> DeviceCore<'a> {
     }
 
     /// Ends the op as instruction `pc` of iteration `iter`, recording it.
-    pub fn end(&mut self, instr: &Instr, iter: u32, pc: usize) {
-        self.record(iter, pc as u32, || instr.to_string());
+    pub fn end(&mut self, iter: u32, pc: usize) {
+        self.record(iter, pc as u32);
     }
 
     /// The end-of-iteration checkpoint write when the policy puts a
@@ -367,7 +343,7 @@ impl<'a> DeviceCore<'a> {
             self.busy(Work::CkptWrite, policy.device_write_ns(self.shard_bytes));
             self.durable(iter + 1);
         }
-        self.record(iter, CKPT_PC, || "CKPT".to_string());
+        self.record(iter, CKPT_PC);
         Ok(())
     }
 
@@ -378,7 +354,7 @@ impl<'a> DeviceCore<'a> {
         self.begin();
         self.flush_residue();
         if self.clock > self.op.start {
-            self.record(iter, CKPT_PC, || "CKPT".to_string());
+            self.record(iter, CKPT_PC);
         }
     }
 
@@ -399,7 +375,6 @@ impl<'a> DeviceCore<'a> {
             telemetry: self.telemetry,
             link_sends: self.link_sends,
             link_recv_wait: self.link_recv_wait,
-            timeline: self.timeline,
             spans: self.spans,
         }
     }
@@ -441,15 +416,7 @@ impl<'a> DeviceCore<'a> {
         self.board.record(self.device, iters);
     }
 
-    fn record(&mut self, iter: u32, pc: u32, name: impl FnOnce() -> String) {
-        if self.record_timeline {
-            self.timeline.push(TimelineEvent {
-                device: self.device,
-                instr: name(),
-                start: self.op.start,
-                end: self.clock,
-            });
-        }
+    fn record(&mut self, iter: u32, pc: u32) {
         if self.record_spans {
             self.spans.push(OpSpan {
                 iter,
@@ -470,8 +437,6 @@ pub struct MergedRun {
     pub total_ns: Nanos,
     /// Per-device telemetry and per-link statistics.
     pub telemetry: Telemetry,
-    /// Every recorded event, ordered by `(start, device)`.
-    pub timeline: Vec<TimelineEvent>,
     /// Every recorded span, by device id.
     pub spans: SpanGraph,
 }
@@ -479,6 +444,11 @@ pub struct MergedRun {
 /// Merges per-device reports into run-level results. Reports may carry
 /// any device ids — an elastic shrink's survivor set need not be dense —
 /// so everything is keyed by each report's own id, never by position.
+///
+/// # Panics
+/// Panics when recorded spans do not tile each device's clock — an
+/// executor bug, never an input error. Every renderer relies on the
+/// tiling; with recording off there is nothing to check.
 pub fn merge_reports(reports: Vec<DeviceReport>, channel_capacity: usize) -> MergedRun {
     let device_clocks: Vec<Nanos> = reports.iter().map(|r| r.clock).collect();
     let total_ns = device_clocks.iter().copied().max().unwrap_or(0);
@@ -490,7 +460,6 @@ pub fn merge_reports(reports: Vec<DeviceReport>, channel_capacity: usize) -> Mer
     let mut clocks_by_id = vec![0; slots];
     let mut spans = SpanGraph::new(slots, channel_capacity);
     spans.makespan = total_ns;
-    let mut timeline = Vec::with_capacity(reports.iter().map(|r| r.timeline.len()).sum());
     let mut devices = Vec::with_capacity(reports.len());
     let mut sends = Vec::new();
     let mut recv_waits = Vec::new();
@@ -503,21 +472,16 @@ pub fn merge_reports(reports: Vec<DeviceReport>, channel_capacity: usize) -> Mer
                 .into_iter()
                 .map(|(src, ns)| ((src, me), ns)),
         );
-        timeline.extend(r.timeline);
         spans.per_device[me.index()] = r.spans;
         devices.push(r.telemetry);
     }
-    timeline.sort_by_key(|e| (e.start, e.device.0));
-    debug_assert!(
-        spans.check_tiling(&clocks_by_id).is_ok(),
-        "span tiling violated on {:?}",
-        spans.check_tiling(&clocks_by_id)
-    );
+    if let Err(d) = spans.check_tiling(&clocks_by_id) {
+        panic!("recorded spans do not tile the clock of {d}");
+    }
     MergedRun {
         device_clocks,
         total_ns,
         telemetry: Telemetry::assemble(devices, sends, recv_waits),
-        timeline,
         spans,
     }
 }
@@ -564,7 +528,7 @@ mod tests {
         let cost = UnitCost::paper_grid().with_shard_bytes(1_500);
         let mut c = core(&board)
             .with_checkpoint(Some(policy), &cost)
-            .recording(true, true);
+            .recording(true);
         c.boundary(0).unwrap();
         c.boundary(1).unwrap();
         assert_eq!(
@@ -575,7 +539,7 @@ mod tests {
         let r = c.finish();
         assert_eq!((r.clock, r.last_checkpoint), (1_500, 2));
         assert_eq!(r.telemetry.classes.ckpt_sync_ns, 1_500);
-        assert_eq!(r.timeline.len(), 3);
+        assert_eq!(r.spans.len(), 3);
         assert!(r
             .spans
             .iter()
@@ -595,16 +559,30 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "do not tile")]
+    fn merge_rejects_spans_that_do_not_tile() {
+        let board = CkptBoard::new(1);
+        let mut c = core(&board).recording(true);
+        c.begin();
+        c.busy(Work::Compute, 10);
+        c.end(0, 0);
+        let mut r = c.finish();
+        // The only span now ends before the device clock.
+        r.spans[0].end = 5;
+        merge_reports(vec![r], 1);
+    }
+
+    #[test]
     fn merge_keys_by_device_id() {
         let board = CkptBoard::new(4);
         let reports: Vec<DeviceReport> = [1u32, 3]
             .iter()
             .map(|&d| {
                 let mut c = DeviceCore::new(DeviceId(d), MemLedger::new(0, None), 0, &board)
-                    .recording(true, true);
+                    .recording(true);
                 c.begin();
                 c.busy(Work::Compute, 10 * d as Nanos);
-                c.end(&Instr::forward(0u32, 0u32), 0, 0);
+                c.end(0, 0);
                 c.finish()
             })
             .collect();
@@ -613,6 +591,6 @@ mod tests {
         assert_eq!(m.total_ns, 30);
         assert_eq!(m.spans.per_device.len(), 4);
         assert_eq!(m.spans.per_device[3][0].end, 30);
-        assert_eq!(m.timeline.len(), 2);
+        assert_eq!(m.spans.len(), 2);
     }
 }

@@ -55,9 +55,7 @@ pub mod validate;
 
 pub use checkpoint::{CheckpointPolicy, ShardedWrite};
 pub use cost::{ComputeKind, CostModel, Nanos, UnitCost};
-pub use device::{
-    merge_reports, CkptBoard, DeviceCore, DeviceReport, MergedRun, TimelineEvent, Work,
-};
+pub use device::{merge_reports, CkptBoard, DeviceCore, DeviceReport, MergedRun, Work};
 pub use exec::{check_executable, min_channel_capacity, ExecError};
 pub use ids::{DeviceId, MicroId, PartId, StageId};
 pub use instr::{Instr, InstrKind, InstrTag};

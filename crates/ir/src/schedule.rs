@@ -4,6 +4,7 @@
 use crate::ids::{DeviceId, MicroId, PartId};
 use crate::instr::{Instr, InstrKind, InstrTag};
 use crate::list::DeviceProgram;
+use crate::span::CKPT_PC;
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -90,6 +91,16 @@ impl Schedule {
     #[inline]
     pub fn programs_mut(&mut self) -> &mut [DeviceProgram] {
         &mut self.programs
+    }
+
+    /// The instruction a recorded span's `pc` names on `device`: `None`
+    /// for checkpoint spans ([`CKPT_PC`]) and for positions outside the
+    /// program.
+    pub fn instr_at(&self, device: DeviceId, pc: u32) -> Option<&Instr> {
+        if pc == CKPT_PC {
+            return None;
+        }
+        self.programs.get(device.index())?.get(pc as usize)
     }
 
     /// Total instruction count across all devices.
@@ -216,6 +227,18 @@ mod tests {
         assert_eq!(s.count_ckpt_forwards(), 0);
         assert!(!s.has_checkpointing());
         assert_eq!(s.expected_forward_count(), 4);
+    }
+
+    #[test]
+    fn instr_at_resolves_program_positions_only() {
+        let s = tiny();
+        assert_eq!(
+            s.instr_at(DeviceId(1), 2),
+            Some(&Instr::forward(1u32, 0u32))
+        );
+        assert_eq!(s.instr_at(DeviceId(1), 4), None);
+        assert_eq!(s.instr_at(DeviceId(2), 0), None);
+        assert_eq!(s.instr_at(DeviceId(0), CKPT_PC), None);
     }
 
     #[test]

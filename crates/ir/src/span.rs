@@ -135,6 +135,19 @@ impl SpanGraph {
         self.per_device.iter().all(Vec::is_empty)
     }
 
+    /// Every span with its index in its device's stream, ordered by
+    /// `(start, device)` and, within a device, by execution order — the
+    /// order every renderer emits slices in.
+    pub fn in_time_order(&self) -> Vec<(usize, &OpSpan)> {
+        let mut all: Vec<(usize, &OpSpan)> = self
+            .per_device
+            .iter()
+            .flat_map(|spans| spans.iter().enumerate())
+            .collect();
+        all.sort_by_key(|(_, s)| (s.start, s.device.0));
+        all
+    }
+
     /// Checks the per-device tiling invariant: spans are contiguous
     /// (`span[i].start == span[i-1].end`) and each device's last `end`
     /// equals its clock. Returns the offending device on failure.
@@ -198,6 +211,21 @@ mod tests {
         // A hole between spans.
         g.push(span(0, 8, 9));
         assert_eq!(g.check_tiling(&[9]), Err(DeviceId(0)));
+    }
+
+    #[test]
+    fn time_order_sorts_by_start_then_device_keeping_execution_order() {
+        let mut g = SpanGraph::new(2, 1);
+        g.push(span(0, 0, 0));
+        g.push(span(0, 0, 4));
+        g.push(span(1, 0, 2));
+        g.push(span(1, 2, 3));
+        let order: Vec<(u32, usize, Nanos)> = g
+            .in_time_order()
+            .into_iter()
+            .map(|(i, s)| (s.device.0, i, s.end))
+            .collect();
+        assert_eq!(order, vec![(0, 0, 0), (0, 1, 4), (1, 0, 2), (1, 1, 3)]);
     }
 
     #[test]

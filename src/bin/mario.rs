@@ -215,15 +215,16 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         report.memory.max_peak() as f64 / (1u64 << 30) as f64,
         schedule.devices()
     );
+    let spans = &report.timeline.spans;
     if args.has("viz") {
         let opts = mario::core::VizOptions {
             ns_per_cell: report.timeline.total_ns / 120 + 1,
             show_micro_ids: false,
         };
-        println!("{}", mario::core::render_ascii(&report.timeline, opts));
+        println!("{}", mario::core::render_ascii(&schedule, spans, opts));
     }
     if let Some(path) = args.flags.get("trace") {
-        std::fs::write(path, mario::core::sim_to_chrome_trace(&report.timeline))
+        std::fs::write(path, mario::core::chrome_trace(&schedule, spans))
             .map_err(|e| e.to_string())?;
         eprintln!("chrome trace written to {path}");
     }

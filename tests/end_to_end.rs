@@ -140,7 +140,8 @@ fn visualization_round_trip() {
         .unwrap();
     let sim = opt.simulate();
     let ascii = mario::core::render_ascii(
-        &sim.timeline,
+        &opt.schedule,
+        &sim.timeline.spans,
         mario::core::VizOptions {
             ns_per_cell: sim.timeline.total_ns / 100 + 1,
             show_micro_ids: false,
@@ -148,7 +149,8 @@ fn visualization_round_trip() {
     );
     assert_eq!(ascii.lines().count() as u32, opt.evaluation.candidate.pp);
     let svg = mario::core::render_svg(
-        &sim.timeline,
+        &opt.schedule,
+        &sim.timeline.spans,
         mario::core::VizOptions {
             ns_per_cell: sim.timeline.total_ns / 500 + 1,
             show_micro_ids: false,
