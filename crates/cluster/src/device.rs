@@ -22,6 +22,7 @@ use crate::link::{Header, LinkError};
 use crate::runner::EmulatorConfig;
 use crate::serving::ServingHooks;
 use mario_ir::exec::MsgClass;
+use mario_ir::fxhash::{FxHashMap, FxHashSet};
 use mario_ir::{
     CkptBoard, CostModel, DeviceCore, DeviceId, DeviceProgram, DeviceReport, Instr, InstrKind,
     MemLedger, MemoryRules, Nanos, OomError, PartId, Schedule, Work,
@@ -29,7 +30,6 @@ use mario_ir::{
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
 
 /// What a blocked device is waiting on right now.
 #[derive(Debug, Clone, Copy)]
@@ -99,7 +99,7 @@ pub(crate) type LinkKey = (DeviceId, DeviceId, MsgClass, PartId);
 /// Every directed link the schedule's sends use, once each, in program
 /// order — the links a driver must build before the run.
 pub(crate) fn links_of(schedule: &Schedule) -> Vec<LinkKey> {
-    let mut seen = HashSet::new();
+    let mut seen = FxHashSet::default();
     let mut keys = Vec::new();
     for prog in schedule.programs() {
         for (_, i) in prog.iter() {
@@ -187,7 +187,7 @@ pub(crate) struct Device<'a> {
     faults: DeviceFaults,
     /// Packets sent per peer this iteration (link faults target the
     /// `nth`, matching `send_sites` and the profile's `LinkSlack::nth`).
-    sends_to: HashMap<DeviceId, usize>,
+    sends_to: FxHashMap<DeviceId, usize>,
     absorbed: Vec<FaultReport>,
     iteration: u32,
     pc: usize,
@@ -229,7 +229,7 @@ impl<'a> Device<'a> {
             ),
             straggler: 1.0 + cfg.straggler_spread * unit,
             faults,
-            sends_to: HashMap::new(),
+            sends_to: FxHashMap::default(),
             absorbed: Vec::new(),
             iteration: 0,
             pc: 0,

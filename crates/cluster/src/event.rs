@@ -32,7 +32,8 @@ use crate::faults::FaultPlan;
 use crate::link::{Header, LinkError};
 use crate::runner::{settle_report, EmulatorConfig, RunReport};
 use mario_ir::{CkptBoard, CostModel, DeviceId, MemoryRules, Nanos, Schedule};
-use std::collections::{HashMap, VecDeque};
+use mario_ir::fxhash::FxHashMap;
+use std::collections::VecDeque;
 
 /// One bounded-FIFO link, event-style: the data queue carries
 /// `(header, bytes, sent_at)` packets, `dequeues` buffers the receiver's
@@ -135,7 +136,7 @@ struct Wiring {
 /// [`Sched::settle`]. A device slot empties once the device settles.
 struct Sched<'a> {
     devs: Vec<Option<Device<'a>>>,
-    chans: HashMap<LinkKey, EventChannel>,
+    chans: FxHashMap<LinkKey, EventChannel>,
     wiring: Wiring,
     queue: VecDeque<usize>,
     queued: Vec<bool>,
@@ -331,7 +332,7 @@ fn run_event_inner(
         serving,
     };
 
-    let mut chans: HashMap<LinkKey, EventChannel> = HashMap::new();
+    let mut chans: FxHashMap<LinkKey, EventChannel> = FxHashMap::default();
     let mut wiring = Wiring {
         out: vec![Vec::new(); devices],
         inp: vec![Vec::new(); devices],

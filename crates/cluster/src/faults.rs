@@ -9,6 +9,7 @@
 //! a link stalls, or memory headroom shrinks?" — and guarantees the answer
 //! is a terminating run with a [`FaultReport`], never a hang or a panic.
 
+use mario_ir::fxhash::FxHashMap;
 use mario_ir::{
     DeviceId, InstrKind, LinkSlack, Nanos, PerturbationProfile, Schedule, SlowdownWindow,
 };
@@ -496,8 +497,7 @@ fn draw_fault(rng: &mut StdRng, schedule: &Schedule, kind: u32) -> FaultKind {
 fn send_sites(schedule: &Schedule) -> Vec<(DeviceId, DeviceId, usize)> {
     let mut sites = Vec::new();
     for prog in schedule.programs() {
-        let mut per_dst: std::collections::HashMap<DeviceId, usize> =
-            std::collections::HashMap::new();
+        let mut per_dst: FxHashMap<DeviceId, usize> = FxHashMap::default();
         for (_, instr) in prog.iter() {
             let peer = match instr.kind {
                 InstrKind::SendAct { peer } | InstrKind::SendGrad { peer } => peer,
@@ -863,7 +863,7 @@ mod tests {
             let name = &plan.groups[0].name;
             assert!(name.starts_with("switch-"), "{name}");
             let node: u32 = name["switch-".len()..].parse().unwrap();
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = mario_ir::fxhash::FxHashSet::default();
             for f in &plan.faults {
                 assert_eq!(plan.group_of(f).as_ref(), Some(name));
                 match *f {

@@ -21,8 +21,8 @@ use mario_ir::{
     merge_reports, CheckpointPolicy, CkptBoard, CostModel, DeviceId, Nanos, PartId, Schedule,
     SpanGraph, Telemetry,
 };
+use mario_ir::fxhash::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::time::Duration;
 
 /// Which executor [`run`] and friends drive.
@@ -266,8 +266,8 @@ pub fn run_serving(
 /// `(peer, class, part)`.
 #[derive(Default)]
 struct Links {
-    out: HashMap<(DeviceId, MsgClass, PartId), SendHalf>,
-    inp: HashMap<(DeviceId, MsgClass, PartId), RecvHalf>,
+    out: FxHashMap<(DeviceId, MsgClass, PartId), SendHalf>,
+    inp: FxHashMap<(DeviceId, MsgClass, PartId), RecvHalf>,
 }
 
 impl Links {
@@ -436,6 +436,11 @@ fn run_threaded(
 /// dense (an elastic shrink's survivor set, for instance): everything
 /// below keys by each report's own device id, never by its position in
 /// the vector.
+///
+/// # Panics
+/// Panics when the devices' recorded checkpoint sync time differs from
+/// what the checkpoint board says they paid — an executor bug, never an
+/// input error.
 pub(crate) fn settle_report(
     results: Vec<Settled>,
     cfg: &EmulatorConfig,
@@ -488,7 +493,11 @@ pub(crate) fn settle_report(
         .max_by_key(|r| r.clock)
         .map_or(DeviceId(0), |r| r.telemetry.device);
     let run = merge_reports(reports, cfg.channel_capacity);
-    debug_assert_eq!(run.telemetry.total_ckpt_sync_ns(), ckpts.total_paid());
+    assert_eq!(
+        run.telemetry.total_ckpt_sync_ns(),
+        ckpts.total_paid(),
+        "recorded checkpoint sync time differs from the board's paid total"
+    );
     let ckpt_free_ns = run.total_ns.saturating_sub(ckpts.paid_of(critical));
     let iters = cfg.iterations.max(1) as u64;
     Ok(RunReport {
@@ -1493,8 +1502,8 @@ mod tests {
                 clock,
                 last_checkpoint: 0,
                 telemetry,
-                link_sends: HashMap::new(),
-                link_recv_wait: HashMap::new(),
+                link_sends: FxHashMap::default(),
+                link_recv_wait: FxHashMap::default(),
                 spans: Vec::new(),
             };
             (report, Vec::new())

@@ -49,8 +49,8 @@ use mario_ir::exec::MsgClass;
 use mario_ir::{
     DeviceId, InstrKind, Nanos, OpSpan, PerturbationProfile, Schedule, SpanGraph, CKPT_PC,
 };
+use mario_ir::fxhash::FxHashMap;
 use serde::Serialize;
-use std::collections::HashMap;
 
 /// A directed channel identity, matching the executors' link keying.
 type ChanKey = (u32, u32, MsgClass, u32);
@@ -256,8 +256,8 @@ fn class_of(kind: &InstrKind) -> MsgClass {
 /// channel capacity. Timestamps are never consulted, except to record
 /// each send's injected-delay `delta` (an exogenous input, like costs).
 fn build_structure(schedule: &Schedule, g: &SpanGraph) -> Structure {
-    let mut sends: HashMap<ChanKey, Vec<NodeId>> = HashMap::new();
-    let mut recvs: HashMap<ChanKey, Vec<NodeId>> = HashMap::new();
+    let mut sends: FxHashMap<ChanKey, Vec<NodeId>> = FxHashMap::default();
+    let mut recvs: FxHashMap<ChanKey, Vec<NodeId>> = FxHashMap::default();
     let mut kind: Vec<Vec<NodeKind>> = Vec::with_capacity(g.per_device.len());
     for (d, spans) in g.per_device.iter().enumerate() {
         let mut kinds = Vec::with_capacity(spans.len());
@@ -331,6 +331,10 @@ fn build_structure(schedule: &Schedule, g: &SpanGraph) -> Structure {
 /// per-link slack. The spans must come from the run's schedule (the `pc`
 /// fields index its device programs) — all three executors produce them
 /// via `record_spans` / the simulator's `SimTimeline::spans`.
+///
+/// # Panics
+/// Panics when the critical path does not tile the makespan — an
+/// analyzer bug, never an input error.
 pub fn analyze(schedule: &Schedule, g: &SpanGraph) -> CritReport {
     let st = build_structure(schedule, g);
     let (slack, link_slack) = compute_slack(g, &st);
@@ -339,7 +343,7 @@ pub fn analyze(schedule: &Schedule, g: &SpanGraph) -> CritReport {
     for seg in &path {
         breakdown.add(seg.class, seg.len_ns());
     }
-    debug_assert_eq!(
+    assert_eq!(
         breakdown.total(),
         g.makespan,
         "critical path does not tile the makespan"
@@ -589,7 +593,7 @@ fn compute_slack(g: &SpanGraph, st: &Structure) -> SlackTables {
         })
         .collect();
     // Per-link wire headroom.
-    let mut per_link: HashMap<(DeviceId, DeviceId), Nanos> = HashMap::new();
+    let mut per_link: FxHashMap<(DeviceId, DeviceId), Nanos> = FxHashMap::default();
     for (d, spans) in g.per_device.iter().enumerate() {
         for (i, s) in spans.iter().enumerate() {
             if let NodeKind::Recv {
@@ -657,11 +661,11 @@ pub fn whatif(schedule: &Schedule, g: &SpanGraph, w: &WhatIf<'_>) -> WhatIfResul
         .collect();
     let mut next = vec![0usize; devices];
     // Re-timed packet departures and arrivals per channel, in FIFO order.
-    let mut departures: HashMap<ChanKey, Vec<Nanos>> = HashMap::new();
-    let mut arrivals: HashMap<ChanKey, Vec<Nanos>> = HashMap::new();
+    let mut departures: FxHashMap<ChanKey, Vec<Nanos>> = FxHashMap::default();
+    let mut arrivals: FxHashMap<ChanKey, Vec<Nanos>> = FxHashMap::default();
     // Per-iteration packet numbering per (src, dst) pair, the emulator's
     // `sends_to` counter (reset each iteration).
-    let mut nth: Vec<HashMap<u32, usize>> = vec![HashMap::new(); devices];
+    let mut nth: Vec<FxHashMap<u32, usize>> = vec![FxHashMap::default(); devices];
     let mut cur_iter: Vec<u32> = vec![0; devices];
     let capacity = g.channel_capacity.max(1);
 

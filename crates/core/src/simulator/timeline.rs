@@ -26,8 +26,9 @@ use mario_ir::{
     MemLedger, MemoryRules, Nanos, PerturbationProfile, Schedule, SpanGraph, Telemetry,
     TimeClasses, Work,
 };
+use mario_ir::fxhash::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// The simulated timeline of one iteration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -268,11 +269,11 @@ fn simulate_core(
     // Global instruction cursor per device: local pc = gpc % len,
     // iteration = gpc / len.
     let mut gpc = vec![0usize; devices];
-    let mut chans: HashMap<(u32, u32, MsgClass, u32), Channel> = HashMap::new();
+    let mut chans: FxHashMap<(u32, u32, MsgClass, u32), Channel> = FxHashMap::default();
     // Packets sent per (src, dst) pair *this iteration*, all classes and
     // parts in program order — the emulator's link-fault packet
     // numbering, which resets every iteration.
-    let mut sends_to: Vec<HashMap<u32, usize>> = vec![HashMap::new(); devices];
+    let mut sends_to: Vec<FxHashMap<u32, usize>> = vec![FxHashMap::default(); devices];
     let mut cur_iter = vec![0u32; devices];
     // Per-micro completion board (serving mode): earliest last-stage
     // forward finish — the emulator's `ServeBoard::record` (fetch_min).
@@ -669,8 +670,8 @@ mod tests {
         // their release, then pipeline back to back.
         assert_eq!(done, vec![Some(2_000), Some(7_000), Some(8_000)]);
         assert_eq!(t.total_ns, 8_000);
-        // The gate is recv-blocked idle: conservation still holds (the
-        // debug_assert in simulate_core checked it), and the first
+        // The gate is recv-blocked idle: conservation still holds
+        // (`DeviceCore::finish` checks it in every build), and the first
         // stage's recv_blocked class carries the 4_000 ns wait.
         assert!(t.telemetry.devices[0].classes.recv_blocked_ns >= 4_000);
     }

@@ -25,7 +25,8 @@
 use crate::critpath::CritReport;
 use crate::simulator::memory_series;
 use mario_ir::{CostModel, DeviceId, Instr, InstrKind, Nanos, OpSpan, PartId, Schedule, SpanGraph};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use mario_ir::fxhash::FxHashMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The synthetic process id counter tracks are parented under, so memory
 /// and link-depth series render as one "counters" group instead of being
@@ -310,7 +311,7 @@ pub fn chrome_trace_rich(
     // *start* (begin waiting) before its send slice does: first queue every
     // send under its key, then pair recvs FIFO — per key both sides come
     // from a single device, so slice order is program order.
-    let mut pending: HashMap<XferKey, VecDeque<&OpSpan>> = HashMap::new();
+    let mut pending: FxHashMap<XferKey, VecDeque<&OpSpan>> = FxHashMap::default();
     let mut next_id = 0u64;
     // Queue-depth deltas per directed link: +1 at send end, −1 at recv end.
     let mut depth: BTreeMap<(u32, u32), Vec<(Nanos, i64)>> = BTreeMap::new();

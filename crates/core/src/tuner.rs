@@ -715,7 +715,9 @@ pub fn admissible(model: &ModelConfig, cand: &Candidate, gbs: u32) -> Option<u32
 /// degraded re-evaluation and emulator validation, so all of them judge
 /// the exact same schedule under the exact same buffer depth. The
 /// returned capacity is the one the graph-tuner's `PreposeOptions` used;
-/// computing it anywhere else can silently diverge from it.
+/// computing it anywhere else can silently diverge from it. Panics when
+/// the derived capacity exceeds the scheme table's (a generator or
+/// analyzer bug, never an input error).
 fn build_schedule(
     model: &ModelConfig,
     gpu: &GpuSpec,
@@ -736,7 +738,7 @@ fn build_schedule(
     // would mean the closed-form bound is wrong.
     let derived = min_channel_capacity(&schedule)
         .unwrap_or_else(|| scheme_channel_capacity(cand.scheme));
-    debug_assert!(
+    assert!(
         derived <= scheme_channel_capacity(cand.scheme),
         "{:?}: derived capacity {derived} exceeds the scheme table's {}",
         cand.scheme,

@@ -21,13 +21,14 @@
 
 use crate::checkpoint::CheckpointPolicy;
 use crate::cost::{CostModel, Nanos};
+use crate::fxhash::FxHashMap;
 use crate::ids::DeviceId;
 use crate::instr::Instr;
 use crate::ledger::{AllocKey, MemLedger, OomError};
 use crate::rules::MemoryRules;
 use crate::span::{OpSpan, SpanGraph, CKPT_PC};
 use crate::telemetry::{DeviceTelemetry, LinkSendStats, Telemetry};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Shared scoreboard of completed checkpoint writes: each device records
@@ -121,9 +122,9 @@ pub struct DeviceReport {
     /// Time-class breakdown of the clock, peak memory and counters.
     pub telemetry: DeviceTelemetry,
     /// Send-side link statistics, keyed by receiving peer.
-    pub link_sends: HashMap<DeviceId, LinkSendStats>,
+    pub link_sends: FxHashMap<DeviceId, LinkSendStats>,
     /// Total recv-wait time per sending peer, ns.
-    pub link_recv_wait: HashMap<DeviceId, Nanos>,
+    pub link_recv_wait: FxHashMap<DeviceId, Nanos>,
     /// Executed spans (execution order), if span recording was enabled.
     pub spans: Vec<OpSpan>,
 }
@@ -150,8 +151,8 @@ pub struct DeviceCore<'a> {
     pending_chunks: VecDeque<Nanos>,
     /// Iterations the in-flight write covers once every chunk flushed.
     pending_iters: u32,
-    link_sends: HashMap<DeviceId, LinkSendStats>,
-    link_recv_wait: HashMap<DeviceId, Nanos>,
+    link_sends: FxHashMap<DeviceId, LinkSendStats>,
+    link_recv_wait: FxHashMap<DeviceId, Nanos>,
     record_spans: bool,
     spans: Vec<OpSpan>,
     /// The op in progress: its start, work and wire fields.
@@ -181,8 +182,8 @@ impl<'a> DeviceCore<'a> {
             shard_bytes: 0,
             pending_chunks: VecDeque::new(),
             pending_iters: 0,
-            link_sends: HashMap::new(),
-            link_recv_wait: HashMap::new(),
+            link_sends: FxHashMap::default(),
+            link_recv_wait: FxHashMap::default(),
             record_spans: false,
             spans: Vec::new(),
             op: OpSpan {

@@ -13,11 +13,12 @@
 //! is full; a receive blocks until a message is available and must match
 //! the head message exactly.
 
+use crate::fxhash::FxHashMap;
 use crate::ids::{DeviceId, MicroId, PartId};
 use crate::instr::InstrKind;
 use crate::schedule::Schedule;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Message class carried on a channel (activation or gradient).
@@ -110,7 +111,8 @@ pub fn check_executable(schedule: &Schedule, channel_capacity: usize) -> Result<
     assert!(channel_capacity >= 1, "channels need capacity >= 1");
     let devices = schedule.devices() as usize;
     let mut pc = vec![0usize; devices];
-    let mut channels: HashMap<(DeviceId, DeviceId, MsgClass, PartId), VecDeque<Msg>> = HashMap::new();
+    let mut channels: FxHashMap<(DeviceId, DeviceId, MsgClass, PartId), VecDeque<Msg>> =
+        FxHashMap::default();
     let mut fired_total = 0usize;
 
     loop {

@@ -9,8 +9,8 @@
 //! bookkeeping divergence.
 
 use crate::ids::{MicroId, PartId};
+use crate::fxhash::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// What a dynamic allocation holds; one live allocation per key at a time.
@@ -64,7 +64,7 @@ pub struct MemLedger {
     dynamic: u64,
     peak: u64,
     capacity: Option<u64>,
-    live: HashMap<AllocKey, u64>,
+    live: FxHashMap<AllocKey, u64>,
 }
 
 impl MemLedger {
@@ -76,7 +76,7 @@ impl MemLedger {
             dynamic: 0,
             peak: static_bytes,
             capacity,
-            live: HashMap::new(),
+            live: FxHashMap::default(),
         }
     }
 

@@ -32,7 +32,9 @@
 //!   checkpoint chunk drain, recorders) that the DP simulator and both
 //!   emulator backends drive, so they agree by construction;
 //! * [`validate`] / [`exec`] — structural validation plus symbolic
-//!   execution proving schedules deadlock-free under blocking p2p.
+//!   execution proving schedules deadlock-free under blocking p2p;
+//! * [`fxhash`] — the Fx hasher and the `FxHashMap`/`FxHashSet` aliases
+//!   every per-instruction map in the library uses.
 
 #![warn(missing_docs)]
 
@@ -40,6 +42,7 @@ pub mod checkpoint;
 pub mod cost;
 pub mod device;
 pub mod exec;
+pub mod fxhash;
 pub mod ids;
 pub mod instr;
 pub mod ledger;

@@ -22,7 +22,7 @@
 //! micro ids.
 
 use mario_ir::{DeviceId, Instr, MicroId, PartId, Schedule, Topology};
-use std::collections::HashMap;
+use mario_ir::fxhash::FxHashMap;
 
 /// One schedulable unit of compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,9 +93,9 @@ pub fn derive_schedule(
     let devices = topology.devices as usize;
 
     // Remaining dependency counts and finish times.
-    let mut finish: HashMap<Item, u64> = HashMap::new();
-    let mut remaining: HashMap<Item, u32> = HashMap::new();
-    let mut ready_time: HashMap<Item, u64> = HashMap::new();
+    let mut finish: FxHashMap<Item, u64> = FxHashMap::default();
+    let mut remaining: FxHashMap<Item, u32> = FxHashMap::default();
+    let mut ready_time: FxHashMap<Item, u64> = FxHashMap::default();
     // Per-device ready and gated pools.
     let mut ready: Vec<Vec<Item>> = vec![Vec::new(); devices];
     let mut gated: Vec<Vec<Item>> = vec![Vec::new(); devices];
@@ -286,7 +286,7 @@ pub fn unit_makespan(schedule: &Schedule) -> u64 {
     let mut pc = vec![0usize; devices];
     let mut clocks = vec![0u64; devices];
     // Phase 0 = forward, 1 = backward or its input half, 2 = weight half.
-    let mut finish: HashMap<(u8, u32, u32), u64> = HashMap::new(); // (phase, micro, hop)
+    let mut finish: FxHashMap<(u8, u32, u32), u64> = FxHashMap::default(); // (phase, micro, hop)
     let hopidx = |m: MicroId, d: DeviceId, p: PartId| -> u32 {
         schedule
             .forward_path_of(m)

@@ -31,7 +31,7 @@
 
 use crate::engine::EnginePolicy;
 use mario_ir::{DeviceId, Instr, PartId, Schedule, SchemeKind, Topology};
-use std::collections::HashMap;
+use mario_ir::fxhash::FxHashMap;
 
 /// The three compute phases of one (micro, hop).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -91,9 +91,9 @@ fn derive_zb_schedule(
         .collect();
     let devices = topology.devices as usize;
 
-    let mut finish: HashMap<Item, u64> = HashMap::new();
-    let mut remaining: HashMap<Item, u32> = HashMap::new();
-    let mut ready_time: HashMap<Item, u64> = HashMap::new();
+    let mut finish: FxHashMap<Item, u64> = FxHashMap::default();
+    let mut remaining: FxHashMap<Item, u32> = FxHashMap::default();
+    let mut ready_time: FxHashMap<Item, u64> = FxHashMap::default();
     let mut ready: Vec<Vec<Item>> = vec![Vec::new(); devices];
     let mut gated: Vec<Vec<Item>> = vec![Vec::new(); devices];
     let mut in_flight: Vec<Vec<u32>> = vec![vec![0; topology.num_routes() as usize]; devices];

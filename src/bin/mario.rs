@@ -13,7 +13,7 @@
 //! Listing 1.
 
 use mario::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -67,13 +67,13 @@ fn parse_scheme(tok: &str) -> Option<SchemeKind> {
 }
 
 struct Args {
-    flags: HashMap<String, String>,
+    flags: BTreeMap<String, String>,
     switches: Vec<String>,
 }
 
 impl Args {
     fn parse(argv: &[String]) -> Result<Self, String> {
-        let mut flags = HashMap::new();
+        let mut flags = BTreeMap::new();
         let mut switches = Vec::new();
         let mut it = argv.iter().peekable();
         while let Some(a) = it.next() {
